@@ -176,7 +176,8 @@ def _cmd_attack(args) -> int:
 
 def _synth_image(width: int, height: int, tag: str) -> GrayImage:
     stream = SplitMix64(derive_seed(tag))
-    flat = np.array([stream.next_byte() for _ in range(width * height)], dtype=np.int64)
+    # the top 8 bits of each output, as SplitMix64.next_byte takes them
+    flat = (stream.next_u64s(width * height) >> np.uint64(56)).astype(np.int64)
     return GrayImage.from_flat(width, height, flat)
 
 

@@ -21,8 +21,16 @@ _MASK64 = (1 << 64) - 1
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
 
-#: Residual column norm below which a candidate direction counts as
-#: linearly dependent during orthonormalization.
+#: Golden-ratio increment of the splitmix64 state.
+_GAMMA = 0x9E3779B97F4A7C15
+
+#: Stream outputs computed per numpy block by :func:`derive_matrix`: as
+#: many whole columns as fit (one column when n exceeds it).  Keeps a
+#: block's temporaries near 1.5 MB instead of growing with the matrix.
+_DRAW_BLOCK = 1 << 16
+
+#: A column counts as linearly dependent during orthonormalization when
+#: its residual norm is at most this fraction of its input norm.
 _DEGENERATE_NORM = 1e-12
 
 #: Bound on the magnitude of entries to orthonormalize.  Below it no
@@ -68,6 +76,11 @@ def derive_seed(password: bytes | str) -> int:
 class SplitMix64:
     """splitmix64 stream: state += golden-gamma; output = mixed state.
 
+    The stream is counter-based: output k (from 1) is mix(seed + k*gamma
+    mod 2**64), so :meth:`next_u64s` computes a block of outputs at once
+    in wrapping uint64 arithmetic.  The scalar methods are the reference
+    definition of the stream.
+
     Owns its state; do not share one instance across concurrent
     derivations.
     """
@@ -76,22 +89,45 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
     def next_uniform(self) -> float:
-        """Uniform draw on [-0.5, 0.5): u / 2^64 - 0.5."""
+        """Uniform draw u / 2^64 - 0.5 on [-0.5, 0.5].
+
+        u is rounded to a double before the division, so the outputs
+        u >= 2^64 - 2^10 give exactly 0.5 (probability about 2^-54).
+        """
         return self.next_u64() / 18446744073709551616.0 - 0.5
 
     def next_byte(self) -> int:
         """Top 8 bits of the next output; unbiased uniform on [0, 255]."""
         return self.next_u64() >> 56
 
+    def next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, equal to n calls of
+        :meth:`next_u64`, which leave the same state behind."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        t = np.empty_like(z)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= np.right_shift(z, np.uint64(shift), out=t)
+            z *= np.uint64(mult)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        return z
+
     def fill_column(self, n: int) -> np.ndarray:
-        return np.array([self.next_uniform() for _ in range(n)], dtype=np.float64)
+        """The next n uniform draws, bit for bit those of n calls of
+        :meth:`next_uniform`."""
+        u = self.next_u64s(n).astype(np.float64)
+        u /= 18446744073709551616.0
+        u -= 0.5
+        return u
 
 
 def _slice_budget(n: int) -> int:
@@ -189,9 +225,10 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
 
     Entries must be finite and below 2**256 in magnitude, so that no
     dot product can overflow; other columns raise :class:`SeedError`.
-    ``regenerate``, when given, is called to supply a fresh column if the
-    norm of the residual is below ``_DEGENERATE_NORM``; without it the
-    degenerate case raises.
+    A column is degenerate when norm is not above ``_DEGENERATE_NORM``
+    times sqrt(dot(a, a)), a being the column as it entered (a zero
+    column always is).  ``regenerate``, when given, is called to supply a
+    fresh column in its place; without it the degenerate case raises.
     """
     columns = np.asarray(columns, dtype=np.float64)
     n, m = columns.shape
@@ -212,21 +249,23 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
         dots = _exact_dots(*q_slices, *_split(block, vbits))
         block -= np.array(dots)[:, None] * rows[k]
 
+    def norm(v):
+        s, g = _split(v, budget // 2)
+        return math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
+
     attempts = 0
     for j, v in enumerate(rows):
-        while True:
-            s, g = _split(v, budget // 2)
-            norm = math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
-            if norm >= _DEGENERATE_NORM:
-                break
+        scale = norm(columns[:, j])
+        while (length := norm(v)) <= _DEGENERATE_NORM * scale:
             attempts += 1
             if regenerate is None or attempts > 64:
                 raise SeedError("degenerate column during orthonormalization")
             v[:] = regenerate()
             _check_entries(v)
+            scale = norm(v)
             for k in range(j):
                 project_out(v[None], k, _split(rows[k], budget - vbits))
-        v /= norm
+        v /= length
         q_slices = _split(v, budget - vbits)
         for b in range(j + 1, m, _BLOCK):
             project_out(rows[b : b + _BLOCK], j, q_slices)
@@ -234,14 +273,15 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
 
 
 def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = False) -> np.ndarray:
-    """n x m projection matrix with entries uniform on [-0.5, 0.5).
+    """n x m projection matrix with entries uniform on [-0.5, 0.5].
 
-    Columns are filled one at a time from the splitmix64 stream (first
-    column fully before the second), so the layout is reproducible
-    across implementations.  With ``orthonormalize`` the columns are
-    passed through :func:`gram_schmidt` afterwards; a linearly dependent column
-    (never seen in practice) is replaced by further draws from the same
-    stream.
+    Entries are :meth:`SplitMix64.next_uniform` draws (0.5 itself has
+    probability about 2**-54), taken column by column from the stream
+    (first column fully before the second), so the layout is
+    reproducible across implementations.  The result is C-contiguous.
+    With ``orthonormalize`` the columns are passed through
+    :func:`gram_schmidt` afterwards; a linearly dependent column (never
+    seen in practice) is replaced by further draws from the same stream.
     """
     if n < 1 or m < 1:
         raise SeedError(f"matrix dims must be positive, got {n}x{m}")
@@ -249,8 +289,10 @@ def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = 
         raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
     stream = SplitMix64(derive_seed(password))
     cols = np.empty((n, m), dtype=np.float64)
-    for j in range(m):
-        cols[:, j] = stream.fill_column(n)
+    per_block = max(1, _DRAW_BLOCK // n)
+    for j in range(0, m, per_block):
+        k = min(per_block, m - j)
+        cols[:, j : j + k] = stream.fill_column(k * n).reshape(k, n).T
     if orthonormalize:
         cols = gram_schmidt(cols, regenerate=lambda: stream.fill_column(n))
     cols.flags.writeable = False

@@ -7,9 +7,11 @@ import pytest
 
 from biopreimage import (
     GrayImage,
+    SplitMix64,
     Template,
     build_merged,
     derive_matrix,
+    derive_seed,
     enroll,
     load_pgm,
     matrix_digest,
@@ -256,6 +258,16 @@ class TestSynth:
         expected = img.n / 256.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_CRIT_255
+
+    def test_pixels_match_scalar_byte_stream(self, tmp_path, capsys):
+        rc = main([
+            "synth", "--width", "80", "--height", "80", "--count", "1",
+            "--seed-label", "bytes", "--out-dir", str(tmp_path / "b"),
+        ])
+        assert rc == 0
+        img = load_pgm(tmp_path / "b" / "img-0000.pgm")
+        stream = SplitMix64(derive_seed("synth:bytes:0"))
+        assert img.flat().tolist() == [stream.next_byte() for _ in range(80 * 80)]
 
 
 class TestDigest:

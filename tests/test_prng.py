@@ -20,7 +20,7 @@ from biopreimage import (
     gram_schmidt,
     matrix_digest,
 )
-from biopreimage.prng import FNV_OFFSET_BASIS
+from biopreimage.prng import _DRAW_BLOCK, _GAMMA, FNV_OFFSET_BASIS
 
 
 def _rounded_dot(x, y):
@@ -275,3 +275,84 @@ class TestGramSchmidt:
             run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
             digests.add(run.stdout)
         assert len(digests) == 1
+
+
+def _scalar_matrix(password, n, m):
+    """derive_matrix's fill, one next_uniform call per entry."""
+    s = SplitMix64(derive_seed(password))
+    return np.array([[s.next_uniform() for _ in range(n)] for _ in range(m)]).T
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (_DRAW_BLOCK + 3, 2),  # one column per block, longer than a block
+            (1000, 70),  # 65 columns a block, then a partial block of 5
+            (7, 5),  # everything in one block
+        ],
+        ids=["column-over-block", "partial-last-block", "single-block"],
+    )
+    def test_derive_matrix_matches_scalar_fill(self, n, m):
+        assert _same_bits(derive_matrix("block-pw", n, m), _scalar_matrix("block-pw", n, m))
+
+    def test_blocks_bounded(self, monkeypatch):
+        sizes = []
+        fill = SplitMix64.fill_column
+        monkeypatch.setattr(SplitMix64, "fill_column", lambda self, k: sizes.append(k) or fill(self, k))
+        derive_matrix("block-pw", 1000, 200)
+        assert max(sizes) <= _DRAW_BLOCK and sum(sizes) == 1000 * 200
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 1000])
+    def test_state_after_block_continues_the_stream(self, n):
+        block, scalar = SplitMix64(2024), SplitMix64(2024)
+        block.fill_column(n)
+        for _ in range(n):
+            scalar.next_u64()
+        assert block.state == scalar.state
+        # so a column drawn afterwards, as regenerate does, is the next one
+        assert np.array_equal(block.fill_column(4), [scalar.next_uniform() for _ in range(4)])
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - _GAMMA, -3 * _GAMMA % 2**64])
+    def test_seed_near_the_top_wraps(self, seed):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert block.next_u64s(8).tolist() == [scalar.next_u64() for _ in range(8)]
+        assert block.state == scalar.state
+
+    @pytest.mark.parametrize("n, m, ortho", [(_DRAW_BLOCK + 3, 2, False), (1000, 70, False), (40, 6, True)])
+    def test_result_c_contiguous_and_read_only(self, n, m, ortho):
+        mat = derive_matrix("layout-pw", n, m, orthonormalize=ortho)
+        assert mat.flags.c_contiguous
+        assert not mat.flags.writeable
+
+    def test_uniform_conversion_edge_values(self):
+        edges = [
+            0, 1, 2**53 + 1, 2**53 + 3, 2**63 + 2**10,
+            2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 2**11 + 2**10, 2**64 - 2**11 - 2**10, 2**64 - 1,
+        ]
+        u = edges + np.random.default_rng(3).integers(0, 2**64, size=10_000, dtype=np.uint64).tolist()
+        block = SplitMix64(0)
+        block.next_u64s = lambda n: np.array(u, dtype=np.uint64)
+        scalar = SplitMix64(0)
+        scalar.next_u64 = iter(u).__next__
+        got = block.fill_column(len(u))
+        assert _same_bits(got, np.array([scalar.next_uniform() for _ in u]))
+        # 0.5 itself is reachable: u rounds up to 2**64 from 2**64 - 2**10 on
+        assert got[0] == -0.5 and got[5] < 0.5 and got[6] == 0.5 and got[9] == 0.5
+
+
+class TestDegenerateThreshold:
+    def test_small_independent_columns_accepted(self):
+        # condition number 3.3, but every column norm is below 1e-12
+        cols = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 2)) * 1e-12
+        q = gram_schmidt(cols)
+        assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+
+    def test_power_of_two_scaling_gives_the_same_bits(self):
+        cols = np.random.default_rng(0).uniform(-0.5, 0.5, (3, 2))
+        assert _same_bits(gram_schmidt(cols * 2.0**-40), gram_schmidt(cols))
+
+    @pytest.mark.parametrize("cols", [np.ones((3, 2)) * 1e-20, np.zeros((3, 1))], ids=["tiny-dependent", "zero"])
+    def test_dependent_columns_of_any_scale_raise(self, cols):
+        with pytest.raises(SeedError):
+            gram_schmidt(cols)
