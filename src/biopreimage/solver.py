@@ -11,9 +11,12 @@ Two engines:
 * :func:`solve_qcqp` - the non-convex image programs.  Continuous
   relaxation of the pixels with an augmented Lagrangian over the squared
   gradient-magnitude equalities and the sign inequalities (inner loop:
-  spectral projected gradient), then rounding, then a greedy integer
-  repair over single-pixel moves scored by (constraint violation, then
-  objective), with perturbed restarts.
+  spectral projected gradient, one forward pass per trial point), then
+  rounding, then a greedy integer repair over single-pixel moves and, on
+  small images, coordinated two- and three-pixel moves, scored by
+  (mismatched bits, constraint violation, objective), with perturbed
+  restarts.  A move changes only the features around its pixels, so the
+  repair scores each candidate from those features alone.
 
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
@@ -32,7 +35,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -450,12 +453,16 @@ class MergedModel:
     def project(self, z: np.ndarray) -> np.ndarray:
         return np.clip(z, self.lower, self.upper)
 
-    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, z: np.ndarray):
         x, y = z[: self.n], z[self.n :]
         u = self.a1 @ x
         v = self.a2 @ x
         h = y * y - u * u - v * v
         g = self.rows @ y + self.offsets
+        return u, v, h, g
+
+    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, _, h, g = self._forward(z)
         return h, g
 
     def violation(self, z: np.ndarray) -> float:
@@ -464,27 +471,33 @@ class MergedModel:
             float(np.abs(h).max(initial=0.0)), float(np.maximum(g, 0.0).max(initial=0.0))
         )
 
-    def al_value(self, z, lam, mu, rho) -> float:
-        x, _ = z[: self.n], z[self.n :]
-        h, g = self.residuals(z)
+    def evaluate(self, z, lam, mu, rho, mu_sq=None):
+        """Augmented Lagrangian value at ``z`` from one forward pass, and a
+        function that forms the gradient there from the same arrays.
+        ``mu_sq`` is ``mu @ mu`` when the caller already has it."""
+        y = z[self.n :]
+        u, v, h, g = self._forward(z)
         hinge = np.maximum(0.0, mu + rho * g)
-        return float(
-            np.sum((x - self.anchor) ** 2)
-            + lam @ h
-            + 0.5 * rho * h @ h
-            + (hinge @ hinge - mu @ mu) / (2.0 * rho)
+        if mu_sq is None:
+            mu_sq = mu @ mu
+        dx = z[: self.n] - self.anchor
+        value = float(
+            np.sum(dx**2) + lam @ h + 0.5 * rho * h @ h + (hinge @ hinge - mu_sq) / (2.0 * rho)
         )
 
+        def grad() -> np.ndarray:
+            w = lam + rho * h
+            gx = 2.0 * dx - 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
+            gy = 2.0 * w * y + self.rows.T @ hinge
+            return np.concatenate([gx, gy])
+
+        return value, grad
+
+    def al_value(self, z, lam, mu, rho) -> float:
+        return self.evaluate(z, lam, mu, rho)[0]
+
     def al_grad(self, z, lam, mu, rho) -> np.ndarray:
-        x, y = z[: self.n], z[self.n :]
-        u = self.a1 @ x
-        v = self.a2 @ x
-        h = y * y - u * u - v * v
-        g = self.rows @ y + self.offsets
-        w = lam + rho * h
-        gx = 2.0 * (x - self.anchor) - 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
-        gy = 2.0 * w * y + self.rows.T @ np.maximum(0.0, mu + rho * g)
-        return np.concatenate([gx, gy])
+        return self.evaluate(z, lam, mu, rho)[1]()
 
     def pixels_raw(self, z: np.ndarray) -> np.ndarray:
         return np.clip(np.rint(z[: self.n] * _PIXEL_SCALE), 0, 255).astype(np.int64)
@@ -511,25 +524,36 @@ class ImageModel:
     def project(self, z: np.ndarray) -> np.ndarray:
         return np.clip(z, 0.0, 1.0)
 
-    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, z: np.ndarray):
         u = self.a1 @ z
         v = self.a2 @ z
-        return u * u + v * v - self.target_sq, np.zeros(0)
+        return u, v, u * u + v * v - self.target_sq
+
+    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._forward(z)[2], np.zeros(0)
 
     def violation(self, z: np.ndarray) -> float:
         h, _ = self.residuals(z)
         return float(np.abs(h).max(initial=0.0))
 
+    def evaluate(self, z, lam, mu, rho, mu_sq=None):
+        """Value at ``z`` and a gradient function, as in
+        :meth:`MergedModel.evaluate`; there are no inequalities."""
+        u, v, h = self._forward(z)
+        dz = z - self.anchor
+        value = float(np.sum(dz**2) + lam @ h + 0.5 * rho * h @ h)
+
+        def grad() -> np.ndarray:
+            w = lam + rho * h
+            return 2.0 * dz + 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
+
+        return value, grad
+
     def al_value(self, z, lam, mu, rho) -> float:
-        h, _ = self.residuals(z)
-        return float(np.sum((z - self.anchor) ** 2) + lam @ h + 0.5 * rho * h @ h)
+        return self.evaluate(z, lam, mu, rho)[0]
 
     def al_grad(self, z, lam, mu, rho) -> np.ndarray:
-        u = self.a1 @ z
-        v = self.a2 @ z
-        h = u * u + v * v - self.target_sq
-        w = lam + rho * h
-        return 2.0 * (z - self.anchor) + 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
+        return self.evaluate(z, lam, mu, rho)[1]()
 
     def pixels_raw(self, z: np.ndarray) -> np.ndarray:
         return np.clip(np.rint(z[: self.n] * _PIXEL_SCALE), 0, 255).astype(np.int64)
@@ -537,10 +561,12 @@ class ImageModel:
 
 def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
     """Spectral projected gradient (Barzilai-Borwein step, nonmonotone
-    Armijo over the last 8 values)."""
+    Armijo over the last 8 values).  Each trial point costs one forward
+    pass; the gradient is formed only at the accepted one."""
     z = model.project(z0)
-    f = model.al_value(z, lam, mu, rho)
-    grad = model.al_grad(z, lam, mu, rho)
+    mu_sq = mu @ mu
+    f, grad_at = model.evaluate(z, lam, mu, rho, mu_sq)
+    grad = grad_at()
     alpha = 1.0 / max(1e-10, float(np.abs(grad).max(initial=0.0)))
     history = [f]
     for it in range(max_iter):
@@ -552,11 +578,11 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
         f_ref = max(history)
         while True:
             zn = z + step_len * d
-            fn = model.al_value(zn, lam, mu, rho)
+            fn, grad_at = model.evaluate(zn, lam, mu, rho, mu_sq)
             if fn <= f_ref + 1e-4 * step_len * gtd or step_len < 1e-12:
                 break
             step_len *= 0.5
-        gn = model.al_grad(zn, lam, mu, rho)
+        gn = grad_at()
         s = zn - z
         yv = gn - grad
         sy = float(s @ yv)
@@ -607,28 +633,79 @@ def _continuous_stage(model, z0, config, deadline, on_round):
 # Integer repair
 
 
-class _SignScorer:
-    """Vectorized scoring of integer candidates for sign-constrained
-    problems; exact confirmation goes through the forward pipeline."""
+class _Scorer:
+    """What the sign and feature scorers share: the problem, its gradient
+    operators and anchor, and the repair's move tables (built on first
+    use, once per solve)."""
 
     def __init__(self, problem: AttackProblem):
         self.problem = problem
         self.a1, self.a2 = conv_operators(problem.height, problem.width)
         self.anchor = problem.anchor_image.flat().astype(np.float64)
+
+    @cached_property
+    def move_groups(self) -> list[tuple[np.ndarray, list[_MoveChunk]]]:
+        return _move_groups(self.a1, self.a2)
+
+    def _local_sq(self, state, feats, du, dv) -> np.ndarray:
+        """u^2 + v^2 on each candidate's footprint, shape (tuples, steps,
+        footprint)."""
+        sq = state.u[feats][:, None, :] + du
+        sq *= sq
+        vv = state.v[feats][:, None, :] + dv
+        vv *= vv
+        sq += vv
+        return sq
+
+
+class _SignScorer(_Scorer):
+    """Scoring of integer candidates for sign-constrained problems; exact
+    confirmation goes through the forward pipeline.
+
+    ``score_batch`` scores whole gradient fields.  ``local_state`` and
+    ``local_scores`` serve the repair: the state keeps its magnitudes s
+    and projections proj, and a move that changes the features F is
+    scored from ``proj + (s_new[F] - s[F]) @ M[F]``."""
+
+    def __init__(self, problem: AttackProblem):
+        super().__init__(problem)
         self.big_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
-        self.want_zero = np.concatenate(
-            [cs.template.bits == 0 for cs in problem.constraint_sets]
-        )
-        self.delta = problem.delta
+        want_zero = np.concatenate([cs.template.bits == 0 for cs in problem.constraint_sets])
+        self.want_one = ~want_zero
+        # Hinge term of bit j: max(0, sign_j * proj_j + offset_j), i.e.
+        # proj + delta for a 0 bit and -proj for a 1 bit.
+        self.sign = np.where(want_zero, 1.0, -1.0)
+        self.offset = np.where(want_zero, problem.delta, 0.0)
+
+    def _terms(self, proj, out=None):
+        """(mismatched bits, hinge violation) along the last axis; ``out``
+        may be ``proj`` itself when the caller no longer needs it."""
+        bits = proj >= 0
+        mism = np.count_nonzero(np.not_equal(bits, self.want_one, out=bits), axis=-1)
+        hinge = np.multiply(proj, self.sign, out=out)
+        hinge += self.offset
+        np.maximum(hinge, 0.0, out=hinge)
+        return mism, hinge.sum(axis=-1)
 
     def score_batch(self, u_batch, v_batch, obj):
         s = np.sqrt(u_batch * u_batch + v_batch * v_batch)
-        proj = s @ self.big_m
-        bits = proj >= 0
-        mism = (bits != ~self.want_zero).sum(axis=1)
-        viol = np.where(self.want_zero, np.maximum(0.0, proj + self.delta), 0.0).sum(axis=1)
-        viol += np.where(~self.want_zero, np.maximum(0.0, -proj), 0.0).sum(axis=1)
+        mism, viol = self._terms(s @ self.big_m)
         return mism, viol, obj
+
+    def local_state(self, u, v):
+        s = np.sqrt(u * u + v * v)
+        proj = s @ self.big_m
+        mism, viol = self._terms(proj)
+        return int(mism), float(viol), (s, proj)
+
+    def local_scores(self, state, feats, du, dv):
+        s, proj = state.local
+        ds = self._local_sq(state, feats, du, dv)
+        np.sqrt(ds, out=ds)
+        ds -= s[feats][:, None, :]
+        moved = ds @ self.big_m[feats]
+        moved += proj
+        return self._terms(moved, out=moved)
 
     def exact_certified(self, pixels: np.ndarray) -> bool:
         problem = self.problem
@@ -640,13 +717,13 @@ class _SignScorer:
         )
 
 
-class _FeatureScorer:
-    """Scoring against a target feature (image-phase repair)."""
+class _FeatureScorer(_Scorer):
+    """Scoring against a target feature (image-phase repair).  The repair
+    state keeps the per-feature residuals; a move adds the change of the
+    residuals on its features to the state's totals."""
 
     def __init__(self, problem: AttackProblem):
-        self.problem = problem
-        self.a1, self.a2 = conv_operators(problem.height, problem.width)
-        self.anchor = problem.anchor_image.flat().astype(np.float64)
+        super().__init__(problem)
         self.target_sq = np.asarray(problem.target_feature, dtype=np.float64) ** 2
 
     def score_batch(self, u_batch, v_batch, obj):
@@ -655,6 +732,23 @@ class _FeatureScorer:
         viol = resid.sum(axis=1)
         return mism, viol, obj
 
+    def local_state(self, u, v):
+        resid = np.abs(u * u + v * v - self.target_sq)
+        return int(np.count_nonzero(resid > _IMAGE_CERT_TOL)), float(resid.sum()), resid
+
+    def local_scores(self, state, feats, du, dv):
+        new = self._local_sq(state, feats, du, dv)
+        new -= self.target_sq[feats][:, None, :]
+        np.abs(new, out=new)
+        old = state.local[feats][:, None, :]
+        mism = (
+            state.score[0]
+            + np.count_nonzero(new > _IMAGE_CERT_TOL, axis=-1)
+            - np.count_nonzero(old > _IMAGE_CERT_TOL, axis=-1)
+        )
+        new -= old
+        return mism, state.score[1] + new.sum(axis=-1)
+
     def exact_certified(self, pixels: np.ndarray) -> bool:
         u = self.a1 @ pixels.astype(np.float64)
         v = self.a2 @ pixels.astype(np.float64)
@@ -662,7 +756,7 @@ class _FeatureScorer:
         return bool(resid.max(initial=0.0) <= _IMAGE_CERT_TOL)
 
 
-_REPAIR_STEPS = np.array([d * s for d in range(1, 9) for s in (1, -1)], dtype=np.int64)
+_SINGLE_STEPS = np.array([[d * s] for d in range(1, 9) for s in (1, -1)], dtype=np.int64)
 _PAIR_RANGE = (-3, -2, -1, 1, 2, 3)
 _PAIR_STEPS = np.array([(a, b) for a in _PAIR_RANGE for b in _PAIR_RANGE], dtype=np.int64)
 _TRIPLE_STEPS = np.array(
@@ -672,11 +766,73 @@ _TRIPLE_STEPS = np.array(
 #: pixels the respective stage is skipped.
 _PAIR_MOVE_LIMIT = 64
 _TRIPLE_MOVE_LIMIT = 24
-_PAIR_CHUNK = 32_768
+#: Candidates (pixel tuples x steps) per chunk of a move group's tables.
+_MOVE_CHUNK = 8_192
+
+
+def _pixel_footprints(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Row p lists the features whose u or v depends on pixel p, in
+    increasing order, padded with n."""
+    n = a1.shape[0]
+    pix, feat = np.nonzero(((a1 != 0) | (a2 != 0)).T)
+    counts = np.bincount(pix, minlength=n)
+    out = np.full((n, int(counts.max(initial=0))), n, dtype=np.intp)
+    out[pix, np.arange(pix.size) - np.repeat(np.cumsum(counts) - counts, counts)] = feat
+    return out
+
+
+class _MoveChunk:
+    """Pixel tuples of one chunk, with the union footprint ``feats`` of each
+    (padded with feature 0 where ``valid`` is False) and the exact change
+    ``du``/``dv`` of u and v on it for every step, shape (tuples, steps,
+    footprint).  Padding slots change nothing."""
+
+    def __init__(self, a1, a2, footprints, tuples, steps):
+        n = a1.shape[0]
+        feats = footprints[tuples].reshape(tuples.shape[0], -1)
+        feats.sort(axis=1)
+        # Union: repeats become padding, which the second sort moves last.
+        feats[:, 1:][feats[:, 1:] == feats[:, :-1]] = n
+        feats.sort(axis=1)
+        feats = feats[:, : int((feats < n).sum(axis=1).max(initial=0))]
+        self.tuples = tuples
+        self.valid = feats < n
+        self.feats = np.where(self.valid, feats, 0)
+        # Flat positions of the operator entries (feature, pixel), shape
+        # (tuples, pixels, footprint).
+        entry = self.feats[:, None, :] * n + tuples[:, :, None]
+        mask = self.valid[:, None, :]
+        stepf = steps.astype(np.float64)
+        # Integer steps times integer kernel entries: exact in any order.
+        self.du = stepf @ (np.take(a1, entry) * mask)
+        self.dv = stepf @ (np.take(a2, entry) * mask)
+
+
+def _move_groups(a1: np.ndarray, a2: np.ndarray) -> list[tuple[np.ndarray, list[_MoveChunk]]]:
+    """(shared steps, chunks) for single moves, then pair moves and triple
+    moves where the image is small enough."""
+    n = a1.shape[0]
+    groups = [(np.arange(n)[:, None], _SINGLE_STEPS)]
+    if n <= _PAIR_MOVE_LIMIT:
+        groups.append((np.stack(np.triu_indices(n, 1), axis=1), _PAIR_STEPS))
+    if 3 <= n <= _TRIPLE_MOVE_LIMIT:
+        groups.append((np.array(list(itertools.combinations(range(n), 3))), _TRIPLE_STEPS))
+    footprints = _pixel_footprints(a1, a2)
+    out = []
+    for tuples, steps in groups:
+        per = max(1, _MOVE_CHUNK // len(steps))
+        chunks = [
+            _MoveChunk(a1, a2, footprints, tuples[lo : lo + per].astype(np.intp), steps)
+            for lo in range(0, tuples.shape[0], per)
+        ]
+        out.append((steps, chunks))
+    return out
 
 
 class _RepairState:
-    """Integer candidate with incrementally maintained gradients."""
+    """Integer candidate: its exact gradients u and v, and the scorer's
+    summary of them, recomputed from scratch after every move so that
+    rounding error never builds up."""
 
     def __init__(self, scorer, pixels: np.ndarray):
         self.scorer = scorer
@@ -684,18 +840,32 @@ class _RepairState:
         xf = self.x.astype(np.float64)
         self.u = scorer.a1 @ xf
         self.v = scorer.a2 @ xf
-        mism, viol, _ = scorer.score_batch(self.u[None, :], self.v[None, :], np.zeros(1))
-        self.obj = float(np.sum((xf - scorer.anchor) ** 2))
-        self.score = (int(mism[0]), float(viol[0]), self.obj)
+        self._refresh()
 
-    def apply(self, updates, new_score):
-        for pix, val in updates:
-            d = float(val - self.x[pix])
-            self.u += d * self.scorer.a1[:, pix]
-            self.v += d * self.scorer.a2[:, pix]
-            self.x[pix] = val
-        self.obj = new_score[2]
-        self.score = new_score
+    def _refresh(self):
+        mism, viol, self.local = self.scorer.local_state(self.u, self.v)
+        self.obj = float(np.sum((self.x - self.scorer.anchor) ** 2))
+        self.score = (mism, viol, self.obj)
+
+    def candidates(self, steps: np.ndarray, chunk: _MoveChunk):
+        """New pixel values, shape (tuples, steps, pixels), and the
+        (mismatched bits, violation, objective) of every move of
+        ``chunk``, each of shape (tuples, steps)."""
+        old = self.x[chunk.tuples]
+        vals = old[:, None, :] + steps
+        mism, viol = self.scorer.local_scores(self, chunk.feats, chunk.du, chunk.dv)
+        a = self.scorer.anchor[chunk.tuples]
+        obj = self.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
+        return vals, mism, viol, obj
+
+    def apply(self, chunk: _MoveChunk, t: int, step: int, vals: np.ndarray):
+        """Move tuple ``t`` of ``chunk`` to ``vals`` by step ``step``.
+        Pixels and kernel entries are integers, so u and v stay exact."""
+        keep = chunk.valid[t]
+        self.x[chunk.tuples[t]] = vals
+        self.u[chunk.feats[t][keep]] += chunk.du[t, step][keep]
+        self.v[chunk.feats[t][keep]] += chunk.dv[t, step][keep]
+        self._refresh()
 
 
 def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
@@ -703,16 +873,22 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     lexicographic improvement of (mismatched bits, hinge violation,
     objective).
 
-    Single-pixel moves of magnitude 1..8 run first; when they stall and
-    the image is small enough, coordinated two-pixel moves of magnitude
-    up to 2 take over (they walk along constraint boundaries where any
-    lone pixel change breaks a sign).  Every improvement that clears all
-    mismatches is re-checked through the exact forward pipeline.
-    Returns (best certified pixels or None, its objective, final pixels,
-    final score).
+    Single-pixel moves of magnitude 1..8 run until they stall.  Then, on
+    images of at most 64 pixels, the best coordinated two-pixel move
+    (each pixel by +-1..+-3) is taken, or on images of at most 24 pixels
+    a three-pixel move (each by +-1) when no pair improves; such moves
+    walk along constraint boundaries where any lone pixel change breaks a
+    sign.  After each multi-pixel move the single moves resume.
+
+    A move changes only the features in the union of its pixels'
+    footprints (at most 8 per pixel), so each candidate is scored from
+    the state and the change on those features alone.  Every
+    improvement that clears all mismatches is re-checked through the
+    exact forward pipeline.  Returns (best certified pixels or None, its
+    objective, final pixels, final score).
     """
-    n = pixels.size
     state = _RepairState(scorer, pixels)
+    groups = scorer.move_groups
     best_cert = None
     best_cert_obj = np.inf
 
@@ -722,92 +898,50 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
             best_cert, best_cert_obj = state.x.copy(), state.obj
 
     note()
-    a1_rows = scorer.a1.T
-    a2_rows = scorer.a2.T
-    anchor = scorer.anchor
-
-    groups: list[tuple[np.ndarray, np.ndarray]] = [
-        (
-            np.repeat(np.arange(n), _REPAIR_STEPS.size)[:, None],
-            np.tile(_REPAIR_STEPS, n)[:, None],
-        )
-    ]
-    if n <= _PAIR_MOVE_LIMIT:
-        iu, ju = np.triu_indices(n, 1)
-        groups.append(
-            (
-                np.stack(
-                    [np.repeat(iu, len(_PAIR_STEPS)), np.repeat(ju, len(_PAIR_STEPS))],
-                    axis=1,
-                ),
-                np.tile(_PAIR_STEPS, (iu.size, 1)),
-            )
-        )
-    if n <= _TRIPLE_MOVE_LIMIT and n >= 3:
-        trips = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
-        groups.append(
-            (
-                np.repeat(trips, len(_TRIPLE_STEPS), axis=0),
-                np.tile(_TRIPLE_STEPS, (trips.shape[0], 1)),
-            )
-        )
-
     out_of_time = False
 
-    def best_move(pix_all: np.ndarray, del_all: np.ndarray):
+    def best_move(steps: np.ndarray, chunks: list[_MoveChunk]):
+        """Best candidate of a group as (score, chunk, tuple, step, pixel
+        values); ties go to the first in tuple-major, step-minor order."""
         nonlocal out_of_time
         best = None
-        for lo in range(0, pix_all.shape[0], _PAIR_CHUNK):
-            pix = pix_all[lo : lo + _PAIR_CHUNK]
-            dlt = del_all[lo : lo + _PAIR_CHUNK]
-            vals = state.x[pix] + dlt
-            keep = ((vals >= 0) & (vals <= 255)).all(axis=1)
-            if not keep.any():
+        for ch in chunks:
+            vals, mism, viol, obj = state.candidates(steps, ch)
+            sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
+            if sel.size == 0:
                 continue
-            pix, dlt, vals = pix[keep], dlt[keep], vals[keep]
-            dltf = dlt.astype(np.float64)
-            u_batch = state.u[None, :] + dltf[:, 0, None] * a1_rows[pix[:, 0]]
-            v_batch = state.v[None, :] + dltf[:, 0, None] * a2_rows[pix[:, 0]]
-            for t in range(1, pix.shape[1]):
-                u_batch += dltf[:, t, None] * a1_rows[pix[:, t]]
-                v_batch += dltf[:, t, None] * a2_rows[pix[:, t]]
-            obj_batch = state.obj + (
-                (vals - anchor[pix]) ** 2 - (state.x[pix] - anchor[pix]) ** 2
-            ).sum(axis=1)
-            mism_b, viol_b, obj_b = scorer.score_batch(u_batch, v_batch, obj_batch)
-            b = np.lexsort((obj_b, viol_b, mism_b))[0]
-            cand = (int(mism_b[b]), float(viol_b[b]), float(obj_b[b]))
+            # Lexicographic minimum of (mism, viol, obj), first on ties.
+            for key in (mism, viol, obj):
+                kv = key.ravel()[sel]
+                sel = sel[kv == kv.min()]
+            b = int(sel[0])
+            cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
             if best is None or cand < best[0]:
-                best = (cand, list(zip(pix[b].tolist(), vals[b].tolist())))
+                t, k = divmod(b, len(steps))
+                best = (cand, ch, t, k, vals[t, k])
             if time.monotonic() > deadline:
                 out_of_time = True
                 break
         return best
 
+    def take(mv) -> bool:
+        if mv is None or mv[0] >= state.score:
+            return False
+        state.apply(*mv[1:])
+        note()
+        return True
+
     moves = 0
     while moves < budget and not out_of_time:
         # Single-pixel descent until it stalls.
-        while moves < budget and not out_of_time:
-            mv = best_move(*groups[0])
-            if mv is None or mv[0] >= state.score:
-                break
-            state.apply(mv[1], mv[0])
+        while moves < budget and not out_of_time and take(best_move(*groups[0])):
             moves += 1
-            note()
         if out_of_time:
             break
         # One accepted multi-pixel move, then back to single moves.
-        stepped = False
-        for pix_all, del_all in groups[1:]:
-            mv = best_move(pix_all, del_all)
-            if mv is not None and mv[0] < state.score:
-                state.apply(mv[1], mv[0])
-                moves += 1
-                note()
-                stepped = True
-                break
-        if not stepped:
+        if not any(take(best_move(*group)) for group in groups[1:]):
             break
+        moves += 1
     return best_cert, best_cert_obj, state.x, state.score
 
 

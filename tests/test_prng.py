@@ -39,11 +39,14 @@ def _mgs_oracle(columns, fresh=()):
     j = 0
     while j < len(cols):
         v = cols[j]
+        # degenerate: the residual norm is at most 1e-12 times the norm of
+        # the column as it entered
+        scale = math.sqrt(_rounded_dot(v, v))
         for q in out:
             c = _rounded_dot(q, v)
             v = [a - c * b for a, b in zip(v, q)]
         norm = math.sqrt(_rounded_dot(v, v))
-        if norm < 1e-12:
+        if norm <= 1e-12 * scale:
             cols[j] = [float(e) for e in next(fresh)]
             continue
         out.append([a / norm for a in v])
@@ -72,6 +75,9 @@ def _oracle_case(name):
         cols = rng.uniform(-0.5, 0.5, size=(6, 3))
         cols[:, 1] = 2.0 * cols[:, 0]  # dependent on the first column
         return cols, [rng.uniform(-0.5, 0.5, size=6)]
+    if name == "small-scale":
+        # well conditioned, but every column norm is below 1e-12
+        return np.random.default_rng(0).uniform(-0.5, 0.5, (3, 2)) * 1e-12, []
     raise ValueError(name)
 
 
@@ -223,7 +229,7 @@ class TestGramSchmidt:
         with pytest.raises(SeedError):
             derive_matrix("pw", 3, 4, orthonormalize=True)
 
-    @pytest.mark.parametrize("name", ["uniform", "tall", "wide-range", "regenerate"])
+    @pytest.mark.parametrize("name", ["uniform", "tall", "wide-range", "regenerate", "small-scale"])
     def test_matches_exact_rational_oracle(self, name):
         cols, fresh = _oracle_case(name)
         supply = iter([f.copy() for f in fresh])

@@ -6,6 +6,7 @@ exact projection of the anchor onto the feasible polyhedron, providing
 an independent check of the dual ascent + active-set path.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from biopreimage import (
     build_feature_phase,
     build_image_phase,
     build_merged,
+    build_multi_collision,
     certify,
     conv_operators,
     derive_matrix,
@@ -33,6 +35,14 @@ from biopreimage import (
     solve,
     solve_qcqp,
     solve_qp,
+)
+from biopreimage.solver import (
+    ImageModel,
+    MergedModel,
+    _FeatureScorer,
+    _pixel_footprints,
+    _RepairState,
+    _SignScorer,
 )
 
 
@@ -293,3 +303,214 @@ class TestInterfaces:
         assert doc["solution"] is None
         assert doc["objective"] is None
         json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# Incremental scoring inside solve_qcqp
+
+
+def _random_problem(rng, h, w, bits, kind="merged"):
+    victim = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+    anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+    if kind == "image":
+        return build_image_phase(anchor, sobel(victim))
+    return build_merged(anchor, enroll(victim, "pw", bits), password=b"pw")
+
+
+def _al_reference(model, z, lam, mu, rho):
+    """Value and gradient written out as separate forward passes, the
+    formulas that evaluate() fuses."""
+    a1, a2, n = model.a1, model.a2, model.n
+    if isinstance(model, ImageModel):
+        u, v = a1 @ z, a2 @ z
+        h = u * u + v * v - model.target_sq
+        value = float(np.sum((z - model.anchor) ** 2) + lam @ h + 0.5 * rho * h @ h)
+        u, v = a1 @ z, a2 @ z
+        h = u * u + v * v - model.target_sq
+        w = lam + rho * h
+        return value, 2.0 * (z - model.anchor) + 2.0 * (a1.T @ (w * u) + a2.T @ (w * v))
+    x, y = z[:n], z[n:]
+    u, v = a1 @ x, a2 @ x
+    h = y * y - u * u - v * v
+    g = model.rows @ y + model.offsets
+    hinge = np.maximum(0.0, mu + rho * g)
+    value = float(
+        np.sum((x - model.anchor) ** 2)
+        + lam @ h
+        + 0.5 * rho * h @ h
+        + (hinge @ hinge - mu @ mu) / (2.0 * rho)
+    )
+    u, v = a1 @ x, a2 @ x
+    h = y * y - u * u - v * v
+    g = model.rows @ y + model.offsets
+    w = lam + rho * h
+    gx = 2.0 * (x - model.anchor) - 2.0 * (a1.T @ (w * u) + a2.T @ (w * v))
+    gy = 2.0 * w * y + model.rows.T @ np.maximum(0.0, mu + rho * g)
+    return value, np.concatenate([gx, gy])
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("shape", [(2, 5, 20), (4, 6, 20), (16, 16, 64)])
+    def test_bitwise_equal_to_separate_passes(self, shape):
+        rng = np.random.default_rng(81)
+        h, w, bits = shape
+        models = [
+            MergedModel(_random_problem(rng, h, w, bits), margin=4.0),
+            ImageModel(_random_problem(rng, h, w, bits, kind="image")),
+        ]
+        for model in models:
+            for _ in range(5):
+                z = rng.uniform(0.05, 0.95, size=model.upper.size) * model.upper
+                lam = rng.standard_normal(model.n_eq)
+                mu = np.abs(rng.standard_normal(model.n_ineq))
+                rho = float(10 ** rng.uniform(0, 4))
+                want_value, want_grad = _al_reference(model, z, lam, mu, rho)
+                value, grad_at = model.evaluate(z, lam, mu, rho)
+                grad = grad_at()
+                assert value == want_value
+                assert grad.tobytes() == want_grad.tobytes()
+                assert model.evaluate(z, lam, mu, rho, mu @ mu)[0] == want_value
+                assert model.al_value(z, lam, mu, rho) == want_value
+                assert model.al_grad(z, lam, mu, rho).tobytes() == want_grad.tobytes()
+
+
+def _dense_scores(scorer, x, steps, chunk):
+    """Every candidate of a chunk scored the direct way: move the pixels,
+    recompute u and v over the whole image, score with score_batch."""
+    tuples = chunk.tuples
+    cand = np.repeat(x[None, :], tuples.shape[0] * len(steps), axis=0)
+    rows = np.arange(cand.shape[0])[:, None]
+    cols = np.repeat(tuples, len(steps), axis=0)
+    cand[rows, cols] += np.tile(steps, (tuples.shape[0], 1))
+    candf = cand.astype(np.float64)
+    obj = ((candf - scorer.anchor) ** 2).sum(axis=1)
+    return scorer.score_batch(candf @ scorer.a1.T, candf @ scorer.a2.T, obj)
+
+
+def _exact_mismatches(problem, pixels):
+    """Template bits (or image-phase features) the forward pipeline gets
+    wrong for these pixels."""
+    img = GrayImage.from_flat(problem.width, problem.height, pixels)
+    if problem.target_feature is not None:
+        return int((np.abs(sobel(img) ** 2 - problem.target_feature**2) > 0.5).sum())
+    feat = sobel(img)
+    return sum(
+        int((binarize(project(feat, cs.matrix)).bits != cs.template.bits).sum())
+        for cs in problem.constraint_sets
+    )
+
+
+def _close(got, want):
+    return np.abs(got - want).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+class TestFootprintScoring:
+    @pytest.mark.parametrize(
+        "shape,kind,groups",
+        [
+            ((2, 5, 20), "merged", 3),
+            ((2, 5, 20), "image", 3),
+            ((4, 6, 20), "merged", 3),
+            ((16, 16, 64), "merged", 1),
+        ],
+        ids=["2x5-sign", "2x5-image", "4x6-sign", "16x16-sign"],
+    )
+    def test_matches_dense_scores(self, shape, kind, groups):
+        rng = np.random.default_rng(83)
+        h, w, bits = shape
+        problem = _random_problem(rng, h, w, bits, kind)
+        scorer = _FeatureScorer(problem) if kind == "image" else _SignScorer(problem)
+        assert len(scorer.move_groups) == groups
+        black = np.zeros(problem.n, dtype=np.int64)  # every projection is exactly 0
+        for pixels in [black] + [rng.integers(0, 256, size=problem.n) for _ in range(3)]:
+            state = _RepairState(scorer, pixels)
+            assert state.score[0] == _exact_mismatches(problem, pixels)
+            for steps, chunks in scorer.move_groups:
+                for chunk in chunks:
+                    vals, mism, viol, obj = state.candidates(steps, chunk)
+                    d_mism, d_viol, d_obj = _dense_scores(scorer, state.x, steps, chunk)
+                    assert np.array_equal(mism.ravel(), d_mism)
+                    assert _close(viol.ravel(), d_viol)
+                    assert _close(obj.ravel(), d_obj)
+                    # the state's own score is the dense score of its pixels
+                    xf = state.x.astype(np.float64)
+                    s_mism, s_viol, _ = scorer.score_batch(
+                        (scorer.a1 @ xf)[None], (scorer.a2 @ xf)[None], None
+                    )
+                    assert state.score[0] == s_mism[0] and _close(state.score[1], s_viol)
+
+    def test_applied_moves_keep_gradients_exact(self):
+        rng = np.random.default_rng(89)
+        problem = _random_problem(rng, 4, 6, 20)
+        scorer = _SignScorer(problem)
+        state = _RepairState(scorer, rng.integers(20, 236, size=problem.n))
+        for steps, chunks in scorer.move_groups:
+            chunk = chunks[0]
+            t = int(rng.integers(chunk.tuples.shape[0]))
+            k = int(rng.integers(len(steps)))
+            state.apply(chunk, t, k, state.x[chunk.tuples[t]] + steps[k])
+            xf = state.x.astype(np.float64)
+            assert np.array_equal(state.u, scorer.a1 @ xf)
+            assert np.array_equal(state.v, scorer.a2 @ xf)
+
+    def test_footprints_cover_exactly_the_changed_features(self):
+        a1, a2 = conv_operators(3, 4)
+        fp = _pixel_footprints(a1, a2)
+        for p in range(12):
+            touched = np.flatnonzero((a1[:, p] != 0) | (a2[:, p] != 0))
+            assert np.array_equal(fp[p][fp[p] < 12], touched)
+            assert touched.size <= 8
+
+
+# Status, objective and a pixel digest of fixed seeded solves, recorded
+# with numpy 2.4.6 and OpenBLAS 0.3.31 before the repair scored moves by
+# footprint.  A change that alters what the solver does fails here.
+_DESK = SolverConfig(restarts=1, max_outer_iterations=6, repair_budget=10, time_limit=60.0)
+_REPAIR = SolverConfig(restarts=1, max_outer_iterations=2, repair_budget=12, time_limit=60.0)
+_SCALE = SolverConfig(restarts=1, max_outer_iterations=10, repair_budget=5, time_limit=120.0)
+
+
+def _pinned_problem(kind, seed):
+    rng = np.random.default_rng(seed)
+
+    def noise(h, w):
+        return GrayImage(w, h, rng.integers(0, 256, (h, w)))
+
+    if kind == "image":
+        hidden, anchor = noise(2, 5), noise(2, 5)
+        return build_image_phase(anchor, sobel(hidden))
+    if kind == "collision":
+        pairs = []
+        for k in range(2):
+            pw = f"pin-{seed}-{k}"
+            pairs.append((enroll(noise(4, 4), pw, 8), pw.encode()))
+        return build_multi_collision(noise(4, 4), pairs)
+    h, w, bits = {"merged-4x6": (4, 6, 20), "merged-16x16": (16, 16, 64)}[kind]
+    victim, anchor = noise(h, w), noise(h, w)
+    pw = f"pin-{seed}"
+    return build_merged(anchor, enroll(victim, pw, bits), password=pw.encode())
+
+
+@pytest.mark.parametrize(
+    "kind,seed,config,status,objective,digest",
+    [
+        ("merged-4x6", 0, _REPAIR, "certified_feasible", 293.0, "01b0c5bbd7361048"),
+        ("merged-4x6", 1, _REPAIR, "certified_feasible", 38.0, "905492d631585d14"),
+        ("merged-4x6", 3, _REPAIR, "certified_feasible", 67949.0, "822a16a352e8ec27"),
+        ("merged-16x16", 0, _SCALE, "certified_feasible", 40790.0, "a0ad49a7d2360faa"),
+        ("image", 0, _DESK, "infeasible", float("inf"), None),
+        ("image", 1, _DESK, "certified_feasible", 54471.0, "a2c0b940c2ee905d"),
+        ("image", 3, _DESK, "certified_feasible", 70886.0, "94055cb7abbe00b8"),
+        ("collision", 1, _DESK, "certified_feasible", 606.0, "81ffeab1b248238e"),
+        ("collision", 2, _DESK, "certified_feasible", 2340.0, "c6564027ed9b9f6e"),
+    ],
+)
+def test_pinned_solver_output(kind, seed, config, status, objective, digest):
+    rep = solve_qcqp(_pinned_problem(kind, seed), config)
+    assert rep.status.value == status
+    assert rep.objective == objective
+    if digest is None:
+        assert rep.solution is None
+    else:
+        pixels = rep.solution.flat().astype(np.uint8).tobytes()
+        assert hashlib.sha256(pixels).hexdigest()[:16] == digest
