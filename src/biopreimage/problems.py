@@ -126,8 +126,8 @@ class AttackProblem:
     target_feature: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ProblemError("margin delta must be positive")
+        if not math.isfinite(self.delta) or self.delta <= 0:
+            raise ProblemError("margin delta must be positive and finite")
         n = self.height * self.width
         for cs in self.constraint_sets:
             if cs.n != n:

@@ -18,6 +18,15 @@ Two engines:
   restarts.  A move changes only the features around its pixels, so the
   repair scores each candidate from those features alone.
 
+Both stages apply the two Sobel convolutions through
+:class:`SobelStencil`: 8-slot gather tables (the ELL sparse format), so
+memory stays O(n) and no dense n x n operator is built.  Only the
+exhaustive window polish, on images of at most 13 pixels, multiplies a
+batch of candidates by the dense matrices of :func:`conv_operators`.
+The repair's gradients of integer pixels are exact in any order, but the
+continuous stage still sums each slot product as a BLAS call, so its
+iterates are not yet independent of the BLAS build.
+
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
 ground truth, never the solver's internal bookkeeping.  All reported
@@ -32,10 +41,11 @@ polled only at coarse stage boundaries).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +109,11 @@ class SolverConfig:
     restarts: int = 8
 
     def __post_init__(self):
+        # NaN compares False with everything, so it would slip past the
+        # range checks below (a NaN time limit never expires).
+        for name in ("time_limit", "penalty_growth", "feasibility_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise SolverError(f"{name} must be finite")
         if self.time_limit <= 0:
             raise SolverError("time_limit must be positive")
         if self.penalty_growth <= 1:
@@ -154,7 +169,12 @@ def report_to_json(report: SolveReport) -> dict:
 def conv_operators(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense matrices applying the two gradient convolutions to a
     flattened image; built through the forward pipeline itself so the
-    solver's linear algebra cannot drift from the oracle's."""
+    solver's linear algebra cannot drift from the oracle's.
+
+    This is the dense reference for :class:`SobelStencil`.  The solver
+    itself uses it only in the window polish, which runs on images of at
+    most 13 pixels, where one BLAS product over a batch of candidates
+    beats a gather per candidate."""
     n = height * width
     a1 = np.zeros((n, n))
     a2 = np.zeros((n, n))
@@ -167,6 +187,82 @@ def conv_operators(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     a1.flags.writeable = False
     a2.flags.writeable = False
     return a1, a2
+
+
+#: The kernels flipped as :func:`convolve` flips them, stacked as (3, 3, 2):
+#: entry [a, b] weights the neighbour at offset (a - 1, b - 1) in A1 and A2.
+_FLIPPED = np.stack([SOBEL_X[::-1, ::-1], SOBEL_Y[::-1, ::-1]], axis=-1)
+#: (a, b) of the 8 neighbours that either kernel weights.
+_TAPS = np.argwhere(_FLIPPED.any(axis=-1))
+
+
+@lru_cache(maxsize=64)
+def _stencil_tables(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only forward and adjoint tables of :class:`SobelStencil`, and
+    the adjoint's positions in a flattened (n + 1, 2) buffer."""
+    n = height * width
+    row, col = np.divmod(np.arange(n), width)
+    tables = []
+    for sign in (1, -1):
+        r = row[:, None] + sign * (_TAPS[:, 0] - 1)
+        c = col[:, None] + sign * (_TAPS[:, 1] - 1)
+        inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
+        tables.append(np.where(inside, r * width + c, n))
+    forward, adjoint = tables
+    pairs = (2 * adjoint[:, :, None] + np.arange(2)).reshape(n, -1)
+    for t in (forward, adjoint, pairs):
+        t.flags.writeable = False
+    return forward, adjoint, pairs
+
+
+class SobelStencil:
+    """The two gradient convolutions A1, A2 of a height x width image as
+    padded gather tables (the ELL sparse format).
+
+    ``weights`` holds, for each of the 8 neighbour offsets that either
+    kernel weights, the pair (A1 weight, A2 weight), taken from the
+    pipeline's own kernels.  ``forward[p, k]`` is the pixel that feature
+    p reads through slot k, and ``adjoint[q, k]`` the feature that pixel q
+    feeds through slot k.  Slots that fall off the image point at index
+    n, a zero sentinel.
+
+    ``apply`` and ``transpose`` pad their input into buffers the instance
+    owns, so an instance serves one caller at a time.
+    """
+
+    weights = _FLIPPED[_TAPS[:, 0], _TAPS[:, 1]]
+    weights.flags.writeable = False
+    _pair_weights = weights.reshape(-1)
+
+    def __init__(self, height: int, width: int):
+        n = height * width
+        self.n = n
+        self.forward, self.adjoint, self._pair_index = _stencil_tables(height, width)
+        x_pad, r_pad = np.zeros(n + 1), np.zeros((n + 1, 2))
+        # apply and transpose write their input into the first n rows; the
+        # last row is the sentinel and stays zero.
+        self._x_pad, self._x_head = x_pad, x_pad[:n]
+        self._r_flat, self._r_head = r_pad.reshape(-1), r_pad[:n]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(n, 2) array whose columns are u = A1 x and v = A2 x."""
+        self._x_head[...] = x
+        return self._x_pad[self.forward] @ self.weights
+
+    def transpose(self, r: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+        """A1^T r[:, 0] + A2^T r[:, 1] for an (n, 2) array r, with each row
+        of r first multiplied by ``scale`` when it is given."""
+        if scale is None:
+            self._r_head[...] = r
+        else:
+            np.multiply(r, scale[:, None], out=self._r_head)
+        return self._r_flat[self._pair_index] @ self._pair_weights
+
+    def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+        """Operator entries (A1[f, p], A2[f, p]) for broadcast index
+        arrays ``features`` and ``pixels``; shape (..., 2)."""
+        hit = self.adjoint[pixels] == np.asarray(features)[..., None]
+        return hit.astype(np.float64) @ self.weights
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +524,7 @@ class MergedModel:
 
     def __init__(self, problem: AttackProblem, margin: float | None = None):
         self.n = problem.n
-        a1, a2 = conv_operators(problem.height, problem.width)
-        self.a1, self.a2 = a1, a2
+        self.stencil = SobelStencil(problem.height, problem.width)
         self.anchor = problem.anchor_image.flat() / _PIXEL_SCALE
         margin = problem.delta if margin is None else margin
         rows, offs = [], []
@@ -446,8 +541,7 @@ class MergedModel:
         self.upper = np.concatenate([np.ones(self.n), np.full(self.n, _Y_BOUND)])
 
     def initial_point(self, x_scaled: np.ndarray) -> np.ndarray:
-        u = self.a1 @ x_scaled
-        v = self.a2 @ x_scaled
+        u, v = self.stencil.apply(x_scaled).T
         return np.concatenate([x_scaled, np.sqrt(u * u + v * v)])
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -455,14 +549,14 @@ class MergedModel:
 
     def _forward(self, z: np.ndarray):
         x, y = z[: self.n], z[self.n :]
-        u = self.a1 @ x
-        v = self.a2 @ x
+        uv = self.stencil.apply(x)
+        u, v = uv.T
         h = y * y - u * u - v * v
         g = self.rows @ y + self.offsets
-        return u, v, h, g
+        return uv, h, g
 
     def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, _, h, g = self._forward(z)
+        _, h, g = self._forward(z)
         return h, g
 
     def violation(self, z: np.ndarray) -> float:
@@ -476,18 +570,20 @@ class MergedModel:
         function that forms the gradient there from the same arrays.
         ``mu_sq`` is ``mu @ mu`` when the caller already has it."""
         y = z[self.n :]
-        u, v, h, g = self._forward(z)
+        uv, h, g = self._forward(z)
         hinge = np.maximum(0.0, mu + rho * g)
         if mu_sq is None:
             mu_sq = mu @ mu
         dx = z[: self.n] - self.anchor
+        # np.add.reduce is np.sum without its Python-level dispatch, which
+        # costs as much as the sum itself at desk sizes.
         value = float(
-            np.sum(dx**2) + lam @ h + 0.5 * rho * h @ h + (hinge @ hinge - mu_sq) / (2.0 * rho)
+            np.add.reduce(dx * dx) + lam @ h + 0.5 * rho * h @ h + (hinge @ hinge - mu_sq) / (2.0 * rho)
         )
 
         def grad() -> np.ndarray:
             w = lam + rho * h
-            gx = 2.0 * dx - 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
+            gx = 2.0 * dx - 2.0 * self.stencil.transpose(uv, w)
             gy = 2.0 * w * y + self.rows.T @ hinge
             return np.concatenate([gx, gy])
 
@@ -510,7 +606,7 @@ class ImageModel:
 
     def __init__(self, problem: AttackProblem):
         self.n = problem.n
-        self.a1, self.a2 = conv_operators(problem.height, problem.width)
+        self.stencil = SobelStencil(problem.height, problem.width)
         self.anchor = problem.anchor_image.flat() / _PIXEL_SCALE
         self.target_sq = (problem.target_feature / _PIXEL_SCALE) ** 2
         self.n_eq = self.n
@@ -525,12 +621,12 @@ class ImageModel:
         return np.clip(z, 0.0, 1.0)
 
     def _forward(self, z: np.ndarray):
-        u = self.a1 @ z
-        v = self.a2 @ z
-        return u, v, u * u + v * v - self.target_sq
+        uv = self.stencil.apply(z)
+        u, v = uv.T
+        return uv, u * u + v * v - self.target_sq
 
     def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._forward(z)[2], np.zeros(0)
+        return self._forward(z)[1], np.zeros(0)
 
     def violation(self, z: np.ndarray) -> float:
         h, _ = self.residuals(z)
@@ -539,13 +635,13 @@ class ImageModel:
     def evaluate(self, z, lam, mu, rho, mu_sq=None):
         """Value at ``z`` and a gradient function, as in
         :meth:`MergedModel.evaluate`; there are no inequalities."""
-        u, v, h = self._forward(z)
+        uv, h = self._forward(z)
         dz = z - self.anchor
-        value = float(np.sum(dz**2) + lam @ h + 0.5 * rho * h @ h)
+        value = float(np.add.reduce(dz * dz) + lam @ h + 0.5 * rho * h @ h)
 
         def grad() -> np.ndarray:
             w = lam + rho * h
-            return 2.0 * dz + 2.0 * (self.a1.T @ (w * u) + self.a2.T @ (w * v))
+            return 2.0 * dz + 2.0 * self.stencil.transpose(uv, w)
 
         return value, grad
 
@@ -635,17 +731,16 @@ def _continuous_stage(model, z0, config, deadline, on_round):
 
 class _Scorer:
     """What the sign and feature scorers share: the problem, its gradient
-    operators and anchor, and the repair's move tables (built on first
-    use, once per solve)."""
+    operators and anchor, and the repair's move tables."""
 
     def __init__(self, problem: AttackProblem):
         self.problem = problem
-        self.a1, self.a2 = conv_operators(problem.height, problem.width)
+        self.stencil = SobelStencil(problem.height, problem.width)
         self.anchor = problem.anchor_image.flat().astype(np.float64)
 
-    @cached_property
-    def move_groups(self) -> list[tuple[np.ndarray, list[_MoveChunk]]]:
-        return _move_groups(self.a1, self.a2)
+    @property
+    def move_groups(self) -> tuple[tuple[np.ndarray, tuple[_MoveChunk, ...]], ...]:
+        return _move_groups(self.problem.height, self.problem.width)
 
     def _local_sq(self, state, feats, du, dv) -> np.ndarray:
         """u^2 + v^2 on each candidate's footprint, shape (tuples, steps,
@@ -750,8 +845,7 @@ class _FeatureScorer(_Scorer):
         return mism, state.score[1] + new.sum(axis=-1)
 
     def exact_certified(self, pixels: np.ndarray) -> bool:
-        u = self.a1 @ pixels.astype(np.float64)
-        v = self.a2 @ pixels.astype(np.float64)
+        u, v = self.stencil.apply(pixels).T
         resid = np.abs(u * u + v * v - self.target_sq)
         return bool(resid.max(initial=0.0) <= _IMAGE_CERT_TOL)
 
@@ -770,25 +864,24 @@ _TRIPLE_MOVE_LIMIT = 24
 _MOVE_CHUNK = 8_192
 
 
-def _pixel_footprints(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+def _pixel_footprints(stencil: SobelStencil) -> np.ndarray:
     """Row p lists the features whose u or v depends on pixel p, in
-    increasing order, padded with n."""
-    n = a1.shape[0]
-    pix, feat = np.nonzero(((a1 != 0) | (a2 != 0)).T)
-    counts = np.bincount(pix, minlength=n)
-    out = np.full((n, int(counts.max(initial=0))), n, dtype=np.intp)
-    out[pix, np.arange(pix.size) - np.repeat(np.cumsum(counts) - counts, counts)] = feat
-    return out
+    increasing order, padded with n.  Every slot of the stencil carries a
+    nonzero weight in one kernel or the other, so these are the adjoint
+    table's rows."""
+    out = np.sort(stencil.adjoint, axis=1)
+    return out[:, : int((out < stencil.n).sum(axis=1).max(initial=0))]
 
 
 class _MoveChunk:
     """Pixel tuples of one chunk, with the union footprint ``feats`` of each
     (padded with feature 0 where ``valid`` is False) and the exact change
     ``du``/``dv`` of u and v on it for every step, shape (tuples, steps,
-    footprint).  Padding slots change nothing."""
+    footprint).  Padding slots change nothing.  All arrays are read-only:
+    back-to-back solves of one image shape share the chunks."""
 
-    def __init__(self, a1, a2, footprints, tuples, steps):
-        n = a1.shape[0]
+    def __init__(self, stencil, footprints, tuples, steps):
+        n = stencil.n
         feats = footprints[tuples].reshape(tuples.shape[0], -1)
         feats.sort(axis=1)
         # Union: repeats become padding, which the second sort moves last.
@@ -798,35 +891,42 @@ class _MoveChunk:
         self.tuples = tuples
         self.valid = feats < n
         self.feats = np.where(self.valid, feats, 0)
-        # Flat positions of the operator entries (feature, pixel), shape
-        # (tuples, pixels, footprint).
-        entry = self.feats[:, None, :] * n + tuples[:, :, None]
-        mask = self.valid[:, None, :]
+        # Operator entries (feature, pixel), shape (tuples, pixels,
+        # footprint, 2).
+        entry = stencil.entries(self.feats[:, None, :], tuples[:, :, None])
+        entry *= self.valid[:, None, :, None]
         stepf = steps.astype(np.float64)
         # Integer steps times integer kernel entries: exact in any order.
-        self.du = stepf @ (np.take(a1, entry) * mask)
-        self.dv = stepf @ (np.take(a2, entry) * mask)
+        self.du = stepf @ entry[..., 0]
+        self.dv = stepf @ entry[..., 1]
+        for a in (self.tuples, self.valid, self.feats, self.du, self.dv):
+            a.flags.writeable = False
 
 
-def _move_groups(a1: np.ndarray, a2: np.ndarray) -> list[tuple[np.ndarray, list[_MoveChunk]]]:
+@lru_cache(maxsize=1)
+def _move_groups(height: int, width: int) -> tuple[tuple[np.ndarray, tuple[_MoveChunk, ...]], ...]:
     """(shared steps, chunks) for single moves, then pair moves and triple
-    moves where the image is small enough."""
-    n = a1.shape[0]
+    moves where the image is small enough.  They depend on the image shape
+    alone; the groups of the last shape are kept, so back-to-back solves
+    of one shape build them once.  Keeping more shapes would hold their
+    tables through every other solve and raise peak memory."""
+    stencil = SobelStencil(height, width)
+    n = stencil.n
     groups = [(np.arange(n)[:, None], _SINGLE_STEPS)]
     if n <= _PAIR_MOVE_LIMIT:
         groups.append((np.stack(np.triu_indices(n, 1), axis=1), _PAIR_STEPS))
     if 3 <= n <= _TRIPLE_MOVE_LIMIT:
         groups.append((np.array(list(itertools.combinations(range(n), 3))), _TRIPLE_STEPS))
-    footprints = _pixel_footprints(a1, a2)
+    footprints = _pixel_footprints(stencil)
     out = []
     for tuples, steps in groups:
         per = max(1, _MOVE_CHUNK // len(steps))
         chunks = [
-            _MoveChunk(a1, a2, footprints, tuples[lo : lo + per].astype(np.intp), steps)
+            _MoveChunk(stencil, footprints, tuples[lo : lo + per].astype(np.intp), steps)
             for lo in range(0, tuples.shape[0], per)
         ]
-        out.append((steps, chunks))
-    return out
+        out.append((steps, tuple(chunks)))
+    return tuple(out)
 
 
 class _RepairState:
@@ -837,9 +937,7 @@ class _RepairState:
     def __init__(self, scorer, pixels: np.ndarray):
         self.scorer = scorer
         self.x = pixels.astype(np.int64).copy()
-        xf = self.x.astype(np.float64)
-        self.u = scorer.a1 @ xf
-        self.v = scorer.a2 @ xf
+        self.u, self.v = scorer.stencil.apply(self.x).T.copy()
         self._refresh()
 
     def _refresh(self):
@@ -900,7 +998,7 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     note()
     out_of_time = False
 
-    def best_move(steps: np.ndarray, chunks: list[_MoveChunk]):
+    def best_move(steps: np.ndarray, chunks: tuple[_MoveChunk, ...]):
         """Best candidate of a group as (score, chunk, tuple, step, pixel
         values); ties go to the first in tuple-major, step-minor order."""
         nonlocal out_of_time
@@ -968,6 +1066,7 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
     w = _window_radius(n)
     if w == 0:
         return None, np.inf
+    a1, a2 = conv_operators(scorer.problem.height, scorer.problem.width)
     base = 2 * w + 1
     total = base**n
     anchor = scorer.anchor
@@ -991,8 +1090,8 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
         if cand.size == 0:
             continue
         candf = cand.astype(np.float64)
-        u_batch = candf @ scorer.a1.T
-        v_batch = candf @ scorer.a2.T
+        u_batch = candf @ a1.T
+        v_batch = candf @ a2.T
         mism, _, obj_b = scorer.score_batch(u_batch, v_batch, obj.astype(np.float64))
         ok = mism == 0
         if ok.any():
@@ -1045,8 +1144,7 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
         objective) stops the current continuous stage early."""
         nonlocal best_cert, best_cert_obj
         xf = pixels.astype(np.float64)
-        u = scorer.a1 @ xf
-        v = scorer.a2 @ xf
+        u, v = scorer.stencil.apply(xf).T
         mism, _, _ = scorer.score_batch(u[None, :], v[None, :], np.zeros(1))
         if int(mism[0]) == 0 and scorer.exact_certified(pixels):
             obj = float(np.sum((xf - scorer.anchor) ** 2))

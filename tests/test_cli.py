@@ -171,6 +171,17 @@ class TestAttack:
     def test_missing_inputs_exit_2(self, capsys):
         assert main(["attack", "--kind", "merged"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--time-limit", "--delta"])
+    def test_nan_setting_exit_2(self, golden_pgm, flag, capsys):
+        t = enroll(GOLDEN, "victim-pw", 12)
+        rc = main([
+            "attack", "--kind", "merged", "--anchor", golden_pgm,
+            "--password", "victim-pw", "--bits", "12", "--template", t.to_hex(),
+            flag, "nan",
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_config_file_and_flag_precedence(self, golden_pgm, tmp_path, capsys):
         t = enroll(GOLDEN, "victim-pw", 12)
         cfg = tmp_path / "config.json"

@@ -96,6 +96,13 @@ class TestProblemValidation:
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, 0.0, constraint_sets=(cs,))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_delta(self, delta):
+        t = Template.from_bitstring("1")
+        cs = SignConstraintSet.from_template(t, np.ones((1, 1)))
+        with pytest.raises(ProblemError):
+            AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, delta, constraint_sets=(cs,))
+
     def test_rejects_row_count_mismatch(self):
         t = Template.from_bitstring("1")
         cs = SignConstraintSet.from_template(t, np.ones((3, 1)))

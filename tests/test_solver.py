@@ -8,6 +8,7 @@ an independent check of the dual ascent + active-set path.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +37,11 @@ from biopreimage import (
     solve_qcqp,
     solve_qp,
 )
+from biopreimage import solver as solver_module
 from biopreimage.solver import (
     ImageModel,
     MergedModel,
+    SobelStencil,
     _FeatureScorer,
     _pixel_footprints,
     _RepairState,
@@ -258,6 +261,12 @@ class TestInterfaces:
         with pytest.raises(SolverError):
             SolverConfig(rng_seed=-1)
 
+    @pytest.mark.parametrize("field", ["time_limit", "penalty_growth", "feasibility_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(SolverError, match=field):
+            SolverConfig(**{field: value})
+
     def test_certify_keys_and_mismatch(self):
         img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
         prob = build_merged(img, enroll(img, "pw", 8), password=b"pw")
@@ -318,19 +327,27 @@ def _random_problem(rng, h, w, bits, kind="merged"):
 
 
 def _al_reference(model, z, lam, mu, rho):
-    """Value and gradient written out as separate forward passes, the
-    formulas that evaluate() fuses."""
-    a1, a2, n = model.a1, model.a2, model.n
+    """Value and gradient written out as separate forward passes through
+    the model's own operator, the formulas that evaluate() fuses."""
+    op, n = model.stencil, model.n
+
+    def grads(x):
+        uv = op.apply(x)
+        return uv[:, 0], uv[:, 1]
+
+    def adjoint(ru, rv):
+        return op.transpose(np.stack([ru, rv], axis=1))
+
     if isinstance(model, ImageModel):
-        u, v = a1 @ z, a2 @ z
+        u, v = grads(z)
         h = u * u + v * v - model.target_sq
         value = float(np.sum((z - model.anchor) ** 2) + lam @ h + 0.5 * rho * h @ h)
-        u, v = a1 @ z, a2 @ z
+        u, v = grads(z)
         h = u * u + v * v - model.target_sq
         w = lam + rho * h
-        return value, 2.0 * (z - model.anchor) + 2.0 * (a1.T @ (w * u) + a2.T @ (w * v))
+        return value, 2.0 * (z - model.anchor) + 2.0 * adjoint(w * u, w * v)
     x, y = z[:n], z[n:]
-    u, v = a1 @ x, a2 @ x
+    u, v = grads(x)
     h = y * y - u * u - v * v
     g = model.rows @ y + model.offsets
     hinge = np.maximum(0.0, mu + rho * g)
@@ -340,13 +357,82 @@ def _al_reference(model, z, lam, mu, rho):
         + 0.5 * rho * h @ h
         + (hinge @ hinge - mu @ mu) / (2.0 * rho)
     )
-    u, v = a1 @ x, a2 @ x
+    u, v = grads(x)
     h = y * y - u * u - v * v
     g = model.rows @ y + model.offsets
     w = lam + rho * h
-    gx = 2.0 * (x - model.anchor) - 2.0 * (a1.T @ (w * u) + a2.T @ (w * v))
+    gx = 2.0 * (x - model.anchor) - 2.0 * adjoint(w * u, w * v)
     gy = 2.0 * w * y + model.rows.T @ np.maximum(0.0, mu + rho * g)
     return value, np.concatenate([gx, gy])
+
+
+_STENCIL_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 5), (3, 4), (16, 16)]
+
+
+class TestSobelStencil:
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_tables_match_dense_operators(self, shape):
+        h, w = shape
+        n = h * w
+        op = SobelStencil(h, w)
+        dense = np.stack(conv_operators(h, w), axis=-1)  # (feature, pixel, kernel)
+        from_forward = np.zeros((n + 1, n + 1, 2))
+        from_adjoint = np.zeros((n + 1, n + 1, 2))
+        for k in range(op.weights.shape[0]):
+            from_forward[np.arange(n), op.forward[:, k]] += op.weights[k]
+            from_adjoint[op.adjoint[:, k], np.arange(n)] += op.weights[k]
+        assert np.array_equal(from_forward[:n, :n], dense)
+        assert np.array_equal(from_adjoint[:n, :n], dense)
+        feats, pixels = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        assert np.array_equal(op.entries(feats, pixels), dense)
+
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_adjoint_identity(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(97)
+        op = SobelStencil(h, w)
+        a1, a2 = conv_operators(h, w)
+        for _ in range(5):
+            x = rng.standard_normal(op.n)
+            r = rng.standard_normal((op.n, 2))
+            lhs = float(np.sum(op.apply(x) * r))
+            rhs = float(x @ op.transpose(r))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            want = a1.T @ r[:, 0] + a2.T @ r[:, 1]
+            assert np.allclose(op.transpose(r), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_integer_images_bitwise_equal_to_dense(self, shape):
+        h, w = shape
+        rng = np.random.default_rng(101)
+        op = SobelStencil(h, w)
+        a1, a2 = conv_operators(h, w)
+        for _ in range(5):
+            x = rng.integers(0, 256, size=op.n).astype(np.float64)
+            uv = op.apply(x)
+            assert uv.tobytes() == np.stack([a1 @ x, a2 @ x], axis=1).tobytes()
+            img = GrayImage(w, h, x.reshape(h, w))
+            assert np.array_equal(np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2), sobel(img))
+
+    def test_scale_builds_no_dense_operator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense operator built")
+
+        rng = np.random.default_rng(103)
+        merged = _random_problem(rng, 64, 64, 64)
+        image = _random_problem(rng, 64, 64, 64, kind="image")
+        monkeypatch.setattr(solver_module, "conv_operators", refuse)
+        tracemalloc.start()
+        try:
+            MergedModel(merged)
+            ImageModel(image)
+            groups = _SignScorer(merged).move_groups
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(groups) == 1  # single moves only past 64 pixels
+        # the dense pair alone would take 2 * 4096**2 * 8 bytes = 268 MB
+        assert peak < 40e6
 
 
 class TestFusedEvaluation:
@@ -384,7 +470,8 @@ def _dense_scores(scorer, x, steps, chunk):
     cand[rows, cols] += np.tile(steps, (tuples.shape[0], 1))
     candf = cand.astype(np.float64)
     obj = ((candf - scorer.anchor) ** 2).sum(axis=1)
-    return scorer.score_batch(candf @ scorer.a1.T, candf @ scorer.a2.T, obj)
+    a1, a2 = conv_operators(scorer.problem.height, scorer.problem.width)
+    return scorer.score_batch(candf @ a1.T, candf @ a2.T, obj)
 
 
 def _exact_mismatches(problem, pixels):
@@ -421,6 +508,7 @@ class TestFootprintScoring:
         problem = _random_problem(rng, h, w, bits, kind)
         scorer = _FeatureScorer(problem) if kind == "image" else _SignScorer(problem)
         assert len(scorer.move_groups) == groups
+        a1, a2 = conv_operators(h, w)
         black = np.zeros(problem.n, dtype=np.int64)  # every projection is exactly 0
         for pixels in [black] + [rng.integers(0, 256, size=problem.n) for _ in range(3)]:
             state = _RepairState(scorer, pixels)
@@ -435,7 +523,7 @@ class TestFootprintScoring:
                     # the state's own score is the dense score of its pixels
                     xf = state.x.astype(np.float64)
                     s_mism, s_viol, _ = scorer.score_batch(
-                        (scorer.a1 @ xf)[None], (scorer.a2 @ xf)[None], None
+                        (a1 @ xf)[None], (a2 @ xf)[None], None
                     )
                     assert state.score[0] == s_mism[0] and _close(state.score[1], s_viol)
 
@@ -443,6 +531,7 @@ class TestFootprintScoring:
         rng = np.random.default_rng(89)
         problem = _random_problem(rng, 4, 6, 20)
         scorer = _SignScorer(problem)
+        a1, a2 = conv_operators(4, 6)
         state = _RepairState(scorer, rng.integers(20, 236, size=problem.n))
         for steps, chunks in scorer.move_groups:
             chunk = chunks[0]
@@ -450,21 +539,31 @@ class TestFootprintScoring:
             k = int(rng.integers(len(steps)))
             state.apply(chunk, t, k, state.x[chunk.tuples[t]] + steps[k])
             xf = state.x.astype(np.float64)
-            assert np.array_equal(state.u, scorer.a1 @ xf)
-            assert np.array_equal(state.v, scorer.a2 @ xf)
+            assert np.array_equal(state.u, a1 @ xf)
+            assert np.array_equal(state.v, a2 @ xf)
 
     def test_footprints_cover_exactly_the_changed_features(self):
-        a1, a2 = conv_operators(3, 4)
-        fp = _pixel_footprints(a1, a2)
-        for p in range(12):
-            touched = np.flatnonzero((a1[:, p] != 0) | (a2[:, p] != 0))
-            assert np.array_equal(fp[p][fp[p] < 12], touched)
-            assert touched.size <= 8
+        for h, w in [(1, 1), (1, 7), (7, 1), (2, 5), (3, 4)]:
+            n = h * w
+            a1, a2 = conv_operators(h, w)
+            fp = _pixel_footprints(SobelStencil(h, w))
+            counts = []
+            for p in range(n):
+                touched = np.flatnonzero((a1[:, p] != 0) | (a2[:, p] != 0))
+                assert np.array_equal(fp[p][: touched.size], touched)
+                assert (fp[p][touched.size :] == n).all()
+                assert touched.size <= 8
+                counts.append(touched.size)
+            # padded to the widest footprint, no wider
+            assert fp.shape == (n, max(counts))
 
 
 # Status, objective and a pixel digest of fixed seeded solves, recorded
-# with numpy 2.4.6 and OpenBLAS 0.3.31 before the repair scored moves by
-# footprint.  A change that alters what the solver does fails here.
+# with numpy 2.4.6 and OpenBLAS 0.3.31.  The rows were first recorded
+# when the continuous stage applied the gradient operators as dense BLAS
+# products; the merged-4x6 seeds 0 and 3, merged-16x16 and collision rows
+# were re-recorded when it moved to the stencil tables, which sum u and v
+# in another order.  A change that alters what the solver does fails here.
 _DESK = SolverConfig(restarts=1, max_outer_iterations=6, repair_budget=10, time_limit=60.0)
 _REPAIR = SolverConfig(restarts=1, max_outer_iterations=2, repair_budget=12, time_limit=60.0)
 _SCALE = SolverConfig(restarts=1, max_outer_iterations=10, repair_budget=5, time_limit=120.0)
@@ -494,15 +593,15 @@ def _pinned_problem(kind, seed):
 @pytest.mark.parametrize(
     "kind,seed,config,status,objective,digest",
     [
-        ("merged-4x6", 0, _REPAIR, "certified_feasible", 293.0, "01b0c5bbd7361048"),
+        ("merged-4x6", 0, _REPAIR, "certified_feasible", 294.0, "82b0c67ef52b6600"),
         ("merged-4x6", 1, _REPAIR, "certified_feasible", 38.0, "905492d631585d14"),
-        ("merged-4x6", 3, _REPAIR, "certified_feasible", 67949.0, "822a16a352e8ec27"),
-        ("merged-16x16", 0, _SCALE, "certified_feasible", 40790.0, "a0ad49a7d2360faa"),
+        ("merged-4x6", 3, _REPAIR, "certified_feasible", 67621.0, "f88fa8ee19799312"),
+        ("merged-16x16", 0, _SCALE, "certified_feasible", 41759.0, "a6daebd912737bc2"),
         ("image", 0, _DESK, "infeasible", float("inf"), None),
         ("image", 1, _DESK, "certified_feasible", 54471.0, "a2c0b940c2ee905d"),
         ("image", 3, _DESK, "certified_feasible", 70886.0, "94055cb7abbe00b8"),
-        ("collision", 1, _DESK, "certified_feasible", 606.0, "81ffeab1b248238e"),
-        ("collision", 2, _DESK, "certified_feasible", 2340.0, "c6564027ed9b9f6e"),
+        ("collision", 1, _DESK, "certified_feasible", 605.0, "adf8086f7af2a39d"),
+        ("collision", 2, _DESK, "certified_feasible", 2332.0, "fddd8700be6b3ce0"),
     ],
 )
 def test_pinned_solver_output(kind, seed, config, status, objective, digest):
