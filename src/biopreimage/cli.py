@@ -8,6 +8,10 @@ matrix fingerprint).
 
 Exit codes: 0 success / certified attack, 1 verification rejection,
 2 bad input, 3 infeasible, 4 time limit, 5 continuous relaxation only.
+Exit 3 is a proof only for the feature phase, which carries a Farkas
+certificate; for the image programs it means that the continuous
+relaxation never reached the feasibility tolerance, and a solution may
+still exist.
 """
 
 from __future__ import annotations

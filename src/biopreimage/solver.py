@@ -16,16 +16,19 @@ Two engines:
   small images, coordinated two- and three-pixel moves, scored by
   (mismatched bits, constraint violation, objective), with perturbed
   restarts.  A move changes only the features around its pixels, so the
-  repair scores each candidate from those features alone.
+  repair scores each candidate from those features alone.  On images of
+  at most 13 pixels a window polish then searches the whole integer box
+  around the best certificate, split into two halves of the pixels whose
+  objective and gradient shares are tabulated once and summed per
+  candidate (meet in the middle), in batches of bounded size.
 
 Both stages apply the two Sobel convolutions through
 :class:`SobelStencil`: 8-slot gather tables (the ELL sparse format), so
-memory stays O(n) and no dense n x n operator is built.  Only the
-exhaustive window polish, on images of at most 13 pixels, multiplies a
-batch of candidates by the dense matrices of :func:`conv_operators`.
-The repair's gradients of integer pixels are exact in any order, but the
-continuous stage still sums each slot product as a BLAS call, so its
-iterates are not yet independent of the BLAS build.
+memory stays O(n) and no dense n x n operator is built.  Only the window
+polish reads the dense matrices of :func:`conv_operators`, to tabulate
+its halves.  The repair's gradients of integer pixels are exact in any
+order, but the continuous stage still sums each slot product as a BLAS
+call, so its iterates are not yet independent of the BLAS build.
 
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
@@ -173,8 +176,8 @@ def conv_operators(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
     This is the dense reference for :class:`SobelStencil`.  The solver
     itself uses it only in the window polish, which runs on images of at
-    most 13 pixels, where one BLAS product over a batch of candidates
-    beats a gather per candidate."""
+    most 13 pixels: each half of the window box takes the columns of its
+    pixels to tabulate its share of u and v."""
     n = height * width
     a1 = np.zeros((n, n))
     a2 = np.zeros((n, n))
@@ -545,7 +548,7 @@ class MergedModel:
         return np.concatenate([x_scaled, np.sqrt(u * u + v * v)])
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(z, self.lower, self.upper)
+        return np.minimum(np.maximum(z, self.lower), self.upper)
 
     def _forward(self, z: np.ndarray):
         x, y = z[: self.n], z[self.n :]
@@ -618,7 +621,7 @@ class ImageModel:
         return x_scaled.copy()
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(z, 0.0, 1.0)
+        return np.minimum(np.maximum(z, 0.0), 1.0)
 
     def _forward(self, z: np.ndarray):
         uv = self.stencil.apply(z)
@@ -771,6 +774,7 @@ class _SignScorer(_Scorer):
         # proj + delta for a 0 bit and -proj for a 1 bit.
         self.sign = np.where(want_zero, 1.0, -1.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
+        self._ones = np.ones(want_zero.size)
 
     def _terms(self, proj, out=None):
         """(mismatched bits, hinge violation) along the last axis; ``out``
@@ -783,9 +787,17 @@ class _SignScorer(_Scorer):
         return mism, hinge.sum(axis=-1)
 
     def score_batch(self, u_batch, v_batch, obj):
-        s = np.sqrt(u_batch * u_batch + v_batch * v_batch)
-        mism, viol = self._terms(s @ self.big_m)
-        return mism, viol, obj
+        # Row sums as matrix-vector products: a reduction along a short
+        # last axis costs several times as much.  The violation then
+        # rounds differently from local_scores; the mismatch count is exact.
+        s = u_batch * u_batch
+        s += v_batch * v_batch
+        proj = np.sqrt(s, out=s) @ self.big_m
+        mism = np.count_nonzero(np.not_equal(proj >= 0, self.want_one), axis=-1)
+        hinge = np.multiply(proj, self.sign, out=proj)
+        hinge += self.offset
+        np.maximum(hinge, 0.0, out=hinge)
+        return mism, hinge @ self._ones, obj
 
     def local_state(self, u, v):
         s = np.sqrt(u * u + v * v)
@@ -820,12 +832,16 @@ class _FeatureScorer(_Scorer):
     def __init__(self, problem: AttackProblem):
         super().__init__(problem)
         self.target_sq = np.asarray(problem.target_feature, dtype=np.float64) ** 2
+        self._ones = np.ones(problem.n)
 
     def score_batch(self, u_batch, v_batch, obj):
-        resid = np.abs(u_batch * u_batch + v_batch * v_batch - self.target_sq)
-        mism = (resid > _IMAGE_CERT_TOL).sum(axis=1)
-        viol = resid.sum(axis=1)
-        return mism, viol, obj
+        # Row sums as a matrix-vector product, as in _SignScorer.score_batch.
+        resid = u_batch * u_batch
+        resid += v_batch * v_batch
+        resid -= self.target_sq
+        np.abs(resid, out=resid)
+        mism = np.count_nonzero(resid > _IMAGE_CERT_TOL, axis=-1)
+        return mism, resid @ self._ones, obj
 
     def local_state(self, u, v):
         resid = np.abs(u * u + v * v - self.target_sq)
@@ -1043,9 +1059,11 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     return best_cert, best_cert_obj, state.x, state.score
 
 
-#: Ceiling on candidates enumerated by the exhaustive window polish.
+#: Ceiling on box points searched by the window polish.
 _WINDOW_BUDGET = 2_000_000
-_WINDOW_CHUNK = 262_144
+#: Candidates the window polish scores per batch; the best objective so
+#: far tightens the cut between batches.
+_WINDOW_BATCH = 4_096
 
 
 def _window_radius(n: int) -> int:
@@ -1055,50 +1073,88 @@ def _window_radius(n: int) -> int:
     return 0
 
 
+def _half_table(scorer, a1, a2, pixels: np.ndarray, cols: np.ndarray, w: int):
+    """Every in-range offset row of the pixels ``cols`` within +-w, in
+    mixed-radix order (first pixel most significant): the rows' pixel
+    values, their share of the objective and their shares of u = A1 x and
+    v = A2 x, from the columns ``cols`` of the dense operators."""
+    axes = [np.arange(max(0, x - w), min(255, x + w) + 1) for x in pixels[cols]]
+    vals = np.empty((math.prod(a.size for a in axes), cols.size), dtype=np.int64)
+    for j, grid in enumerate(np.meshgrid(*axes, indexing="ij")):
+        vals[:, j] = grid.ravel()
+    obj = ((vals - scorer.anchor[cols]) ** 2).sum(axis=1)
+    return vals, obj, vals @ a1[:, cols].T, vals @ a2[:, cols].T
+
+
 def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float):
-    """Exhaustive scan of the integer box around a feasible point.
+    """Search of the integer box of radius ``_window_radius(n)`` around a
+    feasible point.
 
     Greedy moves coordinate at most three pixels; on tiny images the
     optimum often needs a simultaneous shift of every pixel, so when the
-    box fits the candidate budget just enumerate it.  Returns the best
-    strictly-improving certified pixels (or None)."""
+    box fits the candidate budget it is searched whole.
+
+    The objective and (u, v) are sums over pixels, so the box is split
+    into a leading half P (the first n // 2 pixels, the high-order digits
+    of the box index) and a trailing half Q, each tabulated once over its
+    in-range offset rows.  A candidate's objective and (u, v) are a P
+    row's plus a Q row's; pixels and weights are integers, so these sums
+    are exact and equal the dense products bit for bit.  P rows are
+    walked in order, each paired with the Q rows that keep the objective
+    below the best so far: a prefix of Q sorted by objective.  Candidates
+    are scored in batches of at most ``_WINDOW_BATCH`` (or one P row's,
+    when that is more), and the cut tightens between batches.  Memory is
+    the two tables (at most 4,913 rows under ``_WINDOW_BUDGET``) plus one
+    batch: a few megabytes, where the whole box at 3x3 is 1.95M points.
+
+    Returns the candidate with no mismatched bit below ``obj_limit`` that
+    has the smallest (objective, box index) and passes the exact check,
+    with its objective; else (None, obj_limit)."""
     n = pixels.size
     w = _window_radius(n)
     if w == 0:
-        return None, np.inf
+        return None, obj_limit
     a1, a2 = conv_operators(scorer.problem.height, scorer.problem.width)
-    base = 2 * w + 1
-    total = base**n
-    anchor = scorer.anchor
+    cols = np.arange(n)
+    p_vals, p_obj, p_u, p_v = _half_table(scorer, a1, a2, pixels, cols[: n // 2], w)
+    q_table = _half_table(scorer, a1, a2, pixels, cols[n // 2 :], w)
+    q_order = np.argsort(q_table[1], kind="stable")
+    q_vals, q_obj, q_u, q_v = (t[q_order] for t in q_table)
     best = None
     best_obj = obj_limit
-    for lo in range(0, total, _WINDOW_CHUNK):
-        idx = np.arange(lo, min(total, lo + _WINDOW_CHUNK), dtype=np.int64)
-        digits = np.empty((idx.size, n), dtype=np.int64)
-        q = idx
-        for t in range(n - 1, -1, -1):
-            digits[:, t] = q % base
-            q = q // base
-        cand = pixels[None, :] + digits - w
-        keep = ((cand >= 0) & (cand <= 255)).all(axis=1)
-        cand = cand[keep]
-        if cand.size == 0:
-            continue
-        obj = ((cand - anchor[None, :]) ** 2).sum(axis=1)
-        cut = obj < best_obj
-        cand, obj = cand[cut], obj[cut]
-        if cand.size == 0:
-            continue
-        candf = cand.astype(np.float64)
-        u_batch = candf @ a1.T
-        v_batch = candf @ a2.T
-        mism, _, obj_b = scorer.score_batch(u_batch, v_batch, obj.astype(np.float64))
-        ok = mism == 0
-        if ok.any():
-            rows = np.flatnonzero(ok)
-            i = rows[np.argmin(obj_b[rows])]
-            if obj_b[i] < best_obj and scorer.exact_certified(cand[i]):
-                best, best_obj = cand[i].copy(), float(obj_b[i])
+    start = 0
+    while start < p_obj.size:
+        # For each remaining P row, the Q rows that keep the sum below the cut.
+        counts = np.searchsorted(q_obj, best_obj - p_obj[start:])
+        ends = np.cumsum(counts)
+        if ends[-1] == 0:
+            break
+        stop = max(1, int(np.searchsorted(ends, _WINDOW_BATCH, side="right")))
+        first, start = start, start + stop
+        ends = ends[:stop]
+        lows = ends - counts[:stop]
+        # Each P row's candidates are a prefix of the sorted Q rows, so
+        # they are contiguous slices plus one P row.
+        obj = np.empty(ends[-1])
+        u, v = np.empty((obj.size, n)), np.empty((obj.size, n))
+        for i, lo, hi in zip(range(first, start), lows, ends):
+            np.add(q_obj[: hi - lo], p_obj[i], out=obj[lo:hi])
+            np.add(q_u[: hi - lo], p_u[i], out=u[lo:hi])
+            np.add(q_v[: hi - lo], p_v[i], out=v[lo:hi])
+        mism, _, _ = scorer.score_batch(u, v, obj)
+        hits = np.flatnonzero(mism == 0)
+        rows_p = np.searchsorted(ends, hits, side="right")
+        rows_q = hits - lows[rows_p]
+        rows_p += first
+        # Box order is (P row, Q row).  Equal objectives within one P row
+        # mean equal Q objectives, which the stable sort keeps in box order,
+        # so (objective, P row, sorted Q row) puts ties in box order; a
+        # later batch must be strictly better.
+        for j in np.lexsort((rows_q, rows_p, obj[hits])):
+            cand = np.concatenate([p_vals[rows_p[j]], q_vals[rows_q[j]]])
+            if scorer.exact_certified(cand):
+                best, best_obj = cand, float(obj[hits[j]])
+                break
         if time.monotonic() > deadline:
             break
     return best, best_obj

@@ -46,6 +46,8 @@ from biopreimage.solver import (
     _pixel_footprints,
     _RepairState,
     _SignScorer,
+    _window_polish,
+    _window_radius,
 )
 
 
@@ -556,6 +558,165 @@ class TestFootprintScoring:
                 counts.append(touched.size)
             # padded to the widest footprint, no wider
             assert fp.shape == (n, max(counts))
+
+
+# ---------------------------------------------------------------------------
+# Window polish against a scan of the whole box
+
+
+def _box_polish_oracle(scorer, pixels, obj_limit):
+    """The window polish as a scan of the whole box: mixed-radix digits
+    for every box point (first pixel most significant), the 0..255 range
+    check, the cut below ``obj_limit``, dense u and v and ``score_batch``,
+    in chunks of 2**18 box points.  Returns the candidate with no
+    mismatched bit and the smallest (objective, box index) that passes
+    the exact check, with its objective, else (None, obj_limit)."""
+    n = pixels.size
+    w = _window_radius(n)
+    base = 2 * w + 1
+    a1, a2 = conv_operators(scorer.problem.height, scorer.problem.width)
+    best, best_obj = None, obj_limit
+    for lo in range(0, base**n, 1 << 18):
+        idx = np.arange(lo, min(base**n, lo + (1 << 18)))
+        digits = np.empty((idx.size, n), dtype=np.int64)
+        q = idx
+        for t in range(n - 1, -1, -1):
+            digits[:, t] = q % base
+            q = q // base
+        cand = pixels + digits - w
+        obj = ((cand - scorer.anchor) ** 2).sum(axis=1)
+        keep = ((cand >= 0) & (cand <= 255)).all(axis=1) & (obj < obj_limit)
+        cand, obj, idx = cand[keep], obj[keep], idx[keep]
+        candf = cand.astype(np.float64)
+        mism, _, _ = scorer.score_batch(candf @ a1.T, candf @ a2.T, obj)
+        ok = np.flatnonzero(mism == 0)
+        # a later chunk holds larger box indices: it must be strictly better
+        for i in ok[np.lexsort((idx[ok], obj[ok]))]:
+            if obj[i] >= best_obj:
+                break
+            if scorer.exact_certified(cand[i]):
+                best, best_obj = cand[i], float(obj[i])
+                break
+    return best, best_obj
+
+
+def _polish_case(h, w, kind, border, seed):
+    """A problem whose victim image is certified by construction, the
+    victim's pixels and its objective.  ``border`` draws the victim from
+    values next to 0 and 255, so the box is cut off on both sides."""
+    rng = np.random.default_rng(seed)
+    values = [0, 1, 2, 253, 254, 255] if border else np.arange(256)
+    victim = GrayImage(w, h, rng.choice(values, size=(h, w)))
+    anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+    if kind == "image":
+        problem = build_image_phase(anchor, sobel(victim))
+        scorer = _FeatureScorer(problem)
+    else:
+        problem = build_merged(anchor, enroll(victim, "pw", 20), password=b"pw")
+        scorer = _SignScorer(problem)
+    pixels = victim.flat().astype(np.int64)
+    assert scorer.exact_certified(pixels)
+    return scorer, pixels, float(((pixels - scorer.anchor) ** 2).sum())
+
+
+class _SymmetricScorer(_FeatureScorer):
+    """Feasible when u on ``features`` lies at least ``reach`` (in L1)
+    from the anchor's.  The rule is symmetric under x - anchor ->
+    anchor - x, so feasible candidates tie in pairs.  The exact check
+    follows the same rule but refuses the pixels ``refuse``."""
+
+    def __init__(self, problem, reach, features, refuse=None):
+        super().__init__(problem)
+        self.features = features
+        self.a1 = conv_operators(problem.height, problem.width)[0][features]
+        self.reach = reach
+        self.refuse = refuse
+        self.u0 = self.a1 @ self.anchor
+
+    def score_batch(self, u_batch, v_batch, obj):
+        moved = np.abs(u_batch[:, self.features] - self.u0).sum(axis=-1)
+        return (moved < self.reach).astype(np.int64), moved, obj
+
+    def exact_certified(self, pixels):
+        if self.refuse is not None and np.array_equal(pixels, self.refuse):
+            return False
+        return bool(np.abs(self.a1 @ pixels - self.u0).sum() >= self.reach)
+
+
+class TestWindowPolish:
+    @pytest.mark.parametrize("kind", ["merged", "image"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 5), (3, 3)])
+    def test_matches_box_oracle(self, shape, kind):
+        h, w = shape
+        improved = 0
+        for border, seed in [(False, 107), (True, 109)]:
+            scorer, pixels, limit = _polish_case(h, w, kind, border, seed)
+            got, got_obj = _window_polish(scorer, pixels, limit, np.inf)
+            want, want_obj = _box_polish_oracle(scorer, pixels, limit)
+            assert got_obj == want_obj
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want)
+                assert got_obj < limit and scorer.exact_certified(got)
+                improved += 1
+        if kind == "merged":
+            assert improved > 0
+
+    @pytest.mark.parametrize("batch", [None, 1], ids=["default-batch", "one-row-batches"])
+    @pytest.mark.parametrize(
+        "width,features,pixel",
+        [(2, [0, 1], 0), (4, [0, 1, 2, 3], 0), (4, [3], 2)],
+        ids=["1x2-across-rows", "1x4-across-rows", "1x4-within-a-row"],
+    )
+    def test_ties_go_to_the_smallest_box_index(self, monkeypatch, width, features, pixel, batch):
+        """Stepping ``pixel`` by one either way is feasible at objective 1,
+        and down has the smaller box index.  In the 1x4-within-a-row case
+        only u[3] counts, which reads pixel 2 alone, so the tie lies
+        inside one row of the leading half."""
+        if batch is not None:
+            monkeypatch.setattr(solver_module, "_WINDOW_BATCH", batch)
+        anchor = GrayImage(width, 1, np.full((1, width), 100))
+        problem = build_image_phase(anchor, sobel(anchor))
+        pixels = anchor.flat().astype(np.int64)
+        down, up = pixels.copy(), pixels.copy()
+        down[pixel] -= 1
+        up[pixel] += 1
+        scorer = _SymmetricScorer(problem, 2.0, features)
+        assert scorer.exact_certified(down) and scorer.exact_certified(up)
+        for got, got_obj in (
+            _window_polish(scorer, pixels, np.inf, np.inf),
+            _box_polish_oracle(scorer, pixels, np.inf),
+        ):
+            assert got_obj == 1.0 and np.array_equal(got, down)
+        # When the exact check refuses the float winner, the next candidate
+        # in (objective, box index) order wins.
+        scorer = _SymmetricScorer(problem, 2.0, features, refuse=down)
+        got, got_obj = _window_polish(scorer, pixels, np.inf, np.inf)
+        want, want_obj = _box_polish_oracle(scorer, pixels, np.inf)
+        assert got_obj == want_obj == 1.0 and np.array_equal(got, want)
+        assert not np.array_equal(got, down)
+
+    @pytest.mark.parametrize("kind", ["merged", "image"])
+    def test_nothing_below_the_limit_returns_none(self, kind):
+        scorer, pixels, limit = _polish_case(2, 3, kind, False, 113)
+        best, best_obj = _box_polish_oracle(scorer, pixels, limit)
+        floor = limit if best is None else best_obj
+        for cut in (floor, 0.0):
+            assert _window_polish(scorer, pixels, cut, np.inf) == (None, cut)
+
+    def test_memory_stays_bounded_at_3x3(self):
+        scorer, pixels, limit = _polish_case(3, 3, "merged", False, 127)
+        pixels = np.clip(pixels, 2, 253)  # the whole box is in range
+        limit = float(((pixels - scorer.anchor) ** 2).sum())
+        tracemalloc.start()
+        try:
+            _window_polish(scorer, pixels, limit, np.inf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-box scan of the 1.95M box points peaks near 165 MB
+        assert peak < 32e6
 
 
 # Status, objective and a pixel digest of fixed seeded solves, recorded
