@@ -524,7 +524,9 @@ def problem_from_json(doc: dict) -> AttackProblem:
 
 
 # ---------------------------------------------------------------------------
-# Shared feasibility helpers (used by the solver and by tests)
+# Feasibility helpers: the sign constraints written out through the
+# forward pipeline, for callers and tests; the solver scores candidates
+# with its own tables.
 
 
 def sign_violations(feature: np.ndarray, problem: AttackProblem) -> np.ndarray:

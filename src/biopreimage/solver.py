@@ -8,27 +8,30 @@ Two engines:
   optimal face, and a Farkas-style certificate flags infeasible sign
   patterns.
 
-* :func:`solve_qcqp` - the non-convex image programs.  Continuous
-  relaxation of the pixels with an augmented Lagrangian over the squared
-  gradient-magnitude equalities and the sign inequalities (inner loop:
-  spectral projected gradient, one forward pass per trial point), then
-  rounding, then a greedy integer repair over single-pixel moves and, on
-  small images, coordinated two- and three-pixel moves, scored by
-  (mismatched bits, constraint violation, objective), with perturbed
-  restarts.  A move changes only the features around its pixels, so the
-  repair scores each candidate from those features alone.  On images of
-  at most 13 pixels a window polish then searches the whole integer box
-  around the best certificate, split into two halves of the pixels whose
-  objective and gradient shares are tabulated once and summed per
-  candidate (meet in the middle), in batches of bounded size.
+* :func:`solve_qcqp` - the non-convex image programs.  Each restart
+  (the first from the anchor, later ones from perturbations of it) runs
+  one continuous pass: a relaxation of the pixels with an augmented
+  Lagrangian over the squared gradient-magnitude equalities and the sign
+  inequalities, whose margin is inflated so that the rounding lands
+  inside the sign cone (inner loop: spectral projected gradient, one
+  forward pass per trial point).  The rounded pass goes through a greedy
+  integer repair over single-pixel moves and, on small images,
+  coordinated two- and three-pixel moves, scored by (mismatched bits,
+  constraint violation, objective).  A move changes only the features
+  around its pixels, so the repair scores each candidate from those
+  features alone.  The best certificate of all restarts gets a last
+  repair and, on images of at most 13 pixels, a window polish that
+  searches the whole integer box around it, split into two halves of
+  the pixels whose objective and gradient shares are tabulated once and
+  summed per candidate (meet in the middle), in batches of bounded size.
 
-Both stages apply the two Sobel convolutions through
+Every stage applies the two Sobel convolutions through
 :class:`SobelStencil`: 8-slot gather tables (the ELL sparse format), so
-memory stays O(n) and no dense n x n operator is built.  Only the window
-polish reads the dense matrices of :func:`conv_operators`, to tabulate
-its halves.  The repair's gradients of integer pixels are exact in any
-order, but the continuous stage still sums each slot product as a BLAS
-call, so its iterates are not yet independent of the BLAS build.
+memory stays O(n) and no dense n x n operator is built; the window
+polish takes the operator columns of its halves from the stencil too.
+The repair's gradients of integer pixels are exact in any order, but the
+continuous stage still sums each slot product as a BLAS call, so its
+iterates are not yet independent of the BLAS build.
 
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
@@ -69,15 +72,12 @@ _PIXEL_SCALE = 255.0
 #: Scaled upper bound for the auxiliary magnitude variables; slightly
 #: above the largest attainable gradient magnitude (4 * 255 * sqrt(2)).
 _Y_BOUND = 4.0 * np.sqrt(2.0) * 1.01
-#: Extra margin (raw pixel units) imposed on the sign constraints during
-#: the continuous stage only, so the rounded iterate lands inside the
-#: feasible cone instead of on its boundary.  The integer repair then
-#: walks the objective back down under the problem's own margin.
+#: Extra margin (raw pixel units) imposed on the sign constraints in the
+#: continuous stage, the one continuous pass of each restart, so the
+#: rounded iterate lands inside the feasible cone instead of on its
+#: boundary.  The integer repair and the window polish then walk the
+#: objective back down under the problem's own margin.
 _CONTINUOUS_MARGIN = 4.0
-#: A second continuous pass runs with this nearly-true margin: its
-#: optimum sits in the basin of the true integer optimum, while the
-#: inflated pass trades a little objective for reliable rounding.
-_SLIM_MARGIN = 0.25
 #: Absolute tolerance on |S^2 - target^2| under which an integer image
 #: counts as matching a target feature.  Squared magnitudes of integer
 #: images are integers, so 0.5 separates exact preimages from everything
@@ -174,10 +174,8 @@ def conv_operators(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     flattened image; built through the forward pipeline itself so the
     solver's linear algebra cannot drift from the oracle's.
 
-    This is the dense reference for :class:`SobelStencil`.  The solver
-    itself uses it only in the window polish, which runs on images of at
-    most 13 pixels: each half of the window box takes the columns of its
-    pixels to tabulate its share of u and v."""
+    This is the dense reference for :class:`SobelStencil`, which is what
+    the solver itself uses."""
     n = height * width
     a1 = np.zeros((n, n))
     a2 = np.zeros((n, n))
@@ -562,12 +560,6 @@ class MergedModel:
         _, h, g = self._forward(z)
         return h, g
 
-    def violation(self, z: np.ndarray) -> float:
-        h, g = self.residuals(z)
-        return max(
-            float(np.abs(h).max(initial=0.0)), float(np.maximum(g, 0.0).max(initial=0.0))
-        )
-
     def evaluate(self, z, lam, mu, rho, mu_sq=None):
         """Augmented Lagrangian value at ``z`` from one forward pass, and a
         function that forms the gradient there from the same arrays.
@@ -630,10 +622,6 @@ class ImageModel:
 
     def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._forward(z)[1], np.zeros(0)
-
-    def violation(self, z: np.ndarray) -> float:
-        h, _ = self.residuals(z)
-        return float(np.abs(h).max(initial=0.0))
 
     def evaluate(self, z, lam, mu, rho, mu_sq=None):
         """Value at ``z`` and a gradient function, as in
@@ -774,7 +762,6 @@ class _SignScorer(_Scorer):
         # proj + delta for a 0 bit and -proj for a 1 bit.
         self.sign = np.where(want_zero, 1.0, -1.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
-        self._ones = np.ones(want_zero.size)
 
     def _terms(self, proj, out=None):
         """(mismatched bits, hinge violation) along the last axis; ``out``
@@ -786,18 +773,12 @@ class _SignScorer(_Scorer):
         np.maximum(hinge, 0.0, out=hinge)
         return mism, hinge.sum(axis=-1)
 
-    def score_batch(self, u_batch, v_batch, obj):
-        # Row sums as matrix-vector products: a reduction along a short
-        # last axis costs several times as much.  The violation then
-        # rounds differently from local_scores; the mismatch count is exact.
+    def score_batch(self, u_batch, v_batch):
+        """Mismatched bits of each row of gradient fields."""
         s = u_batch * u_batch
         s += v_batch * v_batch
         proj = np.sqrt(s, out=s) @ self.big_m
-        mism = np.count_nonzero(np.not_equal(proj >= 0, self.want_one), axis=-1)
-        hinge = np.multiply(proj, self.sign, out=proj)
-        hinge += self.offset
-        np.maximum(hinge, 0.0, out=hinge)
-        return mism, hinge @ self._ones, obj
+        return np.count_nonzero(np.not_equal(proj >= 0, self.want_one), axis=-1)
 
     def local_state(self, u, v):
         s = np.sqrt(u * u + v * v)
@@ -832,16 +813,14 @@ class _FeatureScorer(_Scorer):
     def __init__(self, problem: AttackProblem):
         super().__init__(problem)
         self.target_sq = np.asarray(problem.target_feature, dtype=np.float64) ** 2
-        self._ones = np.ones(problem.n)
 
-    def score_batch(self, u_batch, v_batch, obj):
-        # Row sums as a matrix-vector product, as in _SignScorer.score_batch.
+    def score_batch(self, u_batch, v_batch):
+        """Mismatched features of each row of gradient fields."""
         resid = u_batch * u_batch
         resid += v_batch * v_batch
         resid -= self.target_sq
         np.abs(resid, out=resid)
-        mism = np.count_nonzero(resid > _IMAGE_CERT_TOL, axis=-1)
-        return mism, resid @ self._ones, obj
+        return np.count_nonzero(resid > _IMAGE_CERT_TOL, axis=-1)
 
     def local_state(self, u, v):
         resid = np.abs(u * u + v * v - self.target_sq)
@@ -1073,17 +1052,18 @@ def _window_radius(n: int) -> int:
     return 0
 
 
-def _half_table(scorer, a1, a2, pixels: np.ndarray, cols: np.ndarray, w: int):
+def _half_table(scorer, pixels: np.ndarray, cols: np.ndarray, w: int):
     """Every in-range offset row of the pixels ``cols`` within +-w, in
     mixed-radix order (first pixel most significant): the rows' pixel
     values, their share of the objective and their shares of u = A1 x and
-    v = A2 x, from the columns ``cols`` of the dense operators."""
+    v = A2 x, from the operator columns ``cols`` that the stencil gives."""
     axes = [np.arange(max(0, x - w), min(255, x + w) + 1) for x in pixels[cols]]
     vals = np.empty((math.prod(a.size for a in axes), cols.size), dtype=np.int64)
     for j, grid in enumerate(np.meshgrid(*axes, indexing="ij")):
         vals[:, j] = grid.ravel()
     obj = ((vals - scorer.anchor[cols]) ** 2).sum(axis=1)
-    return vals, obj, vals @ a1[:, cols].T, vals @ a2[:, cols].T
+    entry = scorer.stencil.entries(np.arange(pixels.size)[:, None], cols[None, :])
+    return vals, obj, vals @ entry[..., 0].T, vals @ entry[..., 1].T
 
 
 def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float):
@@ -1114,10 +1094,9 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
     w = _window_radius(n)
     if w == 0:
         return None, obj_limit
-    a1, a2 = conv_operators(scorer.problem.height, scorer.problem.width)
     cols = np.arange(n)
-    p_vals, p_obj, p_u, p_v = _half_table(scorer, a1, a2, pixels, cols[: n // 2], w)
-    q_table = _half_table(scorer, a1, a2, pixels, cols[n // 2 :], w)
+    p_vals, p_obj, p_u, p_v = _half_table(scorer, pixels, cols[: n // 2], w)
+    q_table = _half_table(scorer, pixels, cols[n // 2 :], w)
     q_order = np.argsort(q_table[1], kind="stable")
     q_vals, q_obj, q_u, q_v = (t[q_order] for t in q_table)
     best = None
@@ -1141,7 +1120,7 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
             np.add(q_obj[: hi - lo], p_obj[i], out=obj[lo:hi])
             np.add(q_u[: hi - lo], p_u[i], out=u[lo:hi])
             np.add(q_v[: hi - lo], p_v[i], out=v[lo:hi])
-        mism, _, _ = scorer.score_batch(u, v, obj)
+        mism = scorer.score_batch(u, v)
         hits = np.flatnonzero(mism == 0)
         rows_p = np.searchsorted(ends, hits, side="right")
         rows_q = hits - lows[rows_p]
@@ -1177,13 +1156,10 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
 
     if problem.kind is ProblemKind.IMAGE_PHASE:
         scorer = _FeatureScorer(problem)
-        models = [ImageModel(problem)]
+        model = ImageModel(problem)
     else:
         scorer = _SignScorer(problem)
-        models = [
-            MergedModel(problem, margin=max(problem.delta, _CONTINUOUS_MARGIN)),
-            MergedModel(problem, margin=max(problem.delta, _SLIM_MARGIN)),
-        ]
+        model = MergedModel(problem, margin=max(problem.delta, _CONTINUOUS_MARGIN))
 
     anchor_pixels = problem.anchor_image.flat().astype(np.int64)
     anchor_scaled = anchor_pixels / _PIXEL_SCALE
@@ -1201,7 +1177,7 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
         nonlocal best_cert, best_cert_obj
         xf = pixels.astype(np.float64)
         u, v = scorer.stencil.apply(xf).T
-        mism, _, _ = scorer.score_batch(u[None, :], v[None, :], np.zeros(1))
+        mism = scorer.score_batch(u[None, :], v[None, :])
         if int(mism[0]) == 0 and scorer.exact_certified(pixels):
             obj = float(np.sum((xf - scorer.anchor) ** 2))
             if obj < best_cert_obj:
@@ -1211,9 +1187,8 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
     consider(anchor_pixels)
     # Certification does not stop the scan: later restarts regularly
     # land in better basins, and the best certified objective wins.
-    done = best_cert_obj == 0.0
     for k in range(config.restarts):
-        if done:
+        if best_cert_obj == 0.0:
             break
         if time.monotonic() > deadline:
             timed_out = True
@@ -1223,28 +1198,20 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
         else:
             sigma = min(0.5, 0.08 * k)
             x0 = np.clip(anchor_scaled + sigma * rng.standard_normal(problem.n), 0.0, 1.0)
-        for model in models:
-            z, vio, early = _continuous_stage(
-                model, model.initial_point(x0), config, deadline, consider
-            )
-            best_vio = min(best_vio, vio)
-            if early:
-                done = True
-                break
-            cert, cert_obj, attempt, attempt_score = _repair(
-                scorer, model.pixels_raw(z), config.repair_budget, deadline
-            )
-            if cert is not None and cert_obj < best_cert_obj:
-                best_cert, best_cert_obj = cert, cert_obj
-                if best_cert_obj == 0.0:
-                    done = True
-                    break
-            if best_attempt_score is None or attempt_score < best_attempt_score:
-                best_attempt, best_attempt_score = attempt, attempt_score
-            if time.monotonic() > deadline:
-                timed_out = True
-                done = True
-                break
+        z, vio, early = _continuous_stage(model, model.initial_point(x0), config, deadline, consider)
+        best_vio = min(best_vio, vio)
+        if early:
+            break
+        cert, cert_obj, attempt, attempt_score = _repair(
+            scorer, model.pixels_raw(z), config.repair_budget, deadline
+        )
+        if cert is not None and cert_obj < best_cert_obj:
+            best_cert, best_cert_obj = cert, cert_obj
+        if best_attempt_score is None or attempt_score < best_attempt_score:
+            best_attempt, best_attempt_score = attempt, attempt_score
+        if time.monotonic() > deadline:
+            timed_out = True
+            break
 
     if best_cert is not None and best_cert_obj > 0.0 and not timed_out:
         # Final descent from the best certificate; a mid-stage rounding
