@@ -35,9 +35,14 @@ iterates are not yet independent of the BLAS build.
 
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
-ground truth, never the solver's internal bookkeeping.  All reported
-statuses short of certification are advisory: the non-convex stage
-cannot prove infeasibility.
+ground truth, never the solver's internal bookkeeping.  In
+:func:`solve_qcqp` a certificate comes from one of three places: the
+anchor itself, checked once before any restart; the integer repair,
+which checks every move that clears all mismatches (and its starting
+rounding); and the window polish.  The continuous stage never certifies:
+its iterates reach a certificate only through the repair of their
+rounding.  All reported statuses short of certification are advisory:
+the non-convex stage cannot prove infeasibility.
 
 Determinism: with a fixed ``rng_seed`` the whole pipeline is
 deterministic as long as the time limit does not bite (the clock is
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -88,6 +94,12 @@ _INNER_ITERS = 250
 _QP_MAX_ITERS = 60_000
 _RHO_INIT = 10.0
 _RHO_MAX = 1e9
+#: Factor by which the continuous stage raises the penalty after a round
+#: that cut the constraint violation by less than a quarter.
+_PENALTY_GROWTH = 4.0
+#: Violation under which a continuous iterate counts as feasible, and the
+#: feature QP's relative primal and duality-gap tolerance.
+_FEASIBILITY_TOL = 1e-7
 
 
 class SolverError(ValueError):
@@ -105,23 +117,27 @@ class SolveStatus(Enum):
 class SolverConfig:
     time_limit: float = 150.0
     max_outer_iterations: int = 30
-    penalty_growth: float = 4.0
-    feasibility_tol: float = 1e-7
     repair_budget: int = 20_000
     rng_seed: int = 1
     restarts: int = 8
 
     def __post_init__(self):
+        # A JSON config file can hold a string, null, bool or float for any
+        # field; reject the wrong kind here, not with a TypeError mid-solve.
+        # bool is an int subclass.
+        for name in ("max_outer_iterations", "repair_budget", "rng_seed", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SolverError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.time_limit, bool) or not isinstance(self.time_limit, numbers.Real):
+            raise SolverError(f"time_limit must be a number, got {self.time_limit!r}")
         # NaN compares False with everything, so it would slip past the
         # range checks below (a NaN time limit never expires).
-        for name in ("time_limit", "penalty_growth", "feasibility_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise SolverError(f"{name} must be finite")
+        if not math.isfinite(self.time_limit):
+            raise SolverError("time_limit must be finite")
         if self.time_limit <= 0:
             raise SolverError("time_limit must be positive")
-        if self.penalty_growth <= 1:
-            raise SolverError("penalty_growth must exceed 1")
-        if self.feasibility_tol <= 0 or self.restarts < 1 or self.max_outer_iterations < 1:
+        if self.restarts < 1 or self.max_outer_iterations < 1:
             raise SolverError("bad solver configuration")
         if self.rng_seed < 0 or self.repair_budget < 0:
             raise SolverError("rng_seed and repair_budget must be non-negative")
@@ -418,7 +434,7 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
     cs = problem.constraint_sets[0]
     g, c = _qp_constraints(problem)
     scale = max(1.0, float(np.linalg.norm(a)))
-    tol_p = config.feasibility_tol * scale
+    tol_p = _FEASIBILITY_TOL * scale
     lip = max(1e-12, float(np.linalg.norm(g, 2)) ** 2 / 2.0)
     step = 1.0 / lip
 
@@ -590,9 +606,6 @@ class MergedModel:
     def al_grad(self, z, lam, mu, rho) -> np.ndarray:
         return self.evaluate(z, lam, mu, rho)[1]()
 
-    def pixels_raw(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(np.rint(z[: self.n] * _PIXEL_SCALE), 0, 255).astype(np.int64)
-
 
 class ImageModel:
     """Augmented Lagrangian of the feature-matching image program:
@@ -642,9 +655,6 @@ class ImageModel:
     def al_grad(self, z, lam, mu, rho) -> np.ndarray:
         return self.evaluate(z, lam, mu, rho)[1]()
 
-    def pixels_raw(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(np.rint(z[: self.n] * _PIXEL_SCALE), 0, 255).astype(np.int64)
-
 
 def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
     """Spectral projected gradient (Barzilai-Borwein step, nonmonotone
@@ -683,10 +693,9 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
     return z
 
 
-def _continuous_stage(model, z0, config, deadline, on_round):
-    """Outer augmented-Lagrangian loop.  ``on_round`` sees the rounded
-    integer pixels once per round and may stop the stage early by
-    returning True (used for en-route certification)."""
+def _continuous_stage(model, z0, config, deadline):
+    """Outer augmented-Lagrangian loop; returns the last iterate and the
+    smallest constraint violation of any round."""
     lam = np.zeros(model.n_eq)
     mu = np.zeros(model.n_ineq)
     rho = _RHO_INIT
@@ -699,9 +708,7 @@ def _continuous_stage(model, z0, config, deadline, on_round):
         vio = max(
             float(np.abs(h).max(initial=0.0)), float(np.maximum(g, 0.0).max(initial=0.0))
         )
-        if on_round(model.pixels_raw(z)):
-            return z, 0.0, True
-        if vio <= config.feasibility_tol:
+        if vio <= _FEASIBILITY_TOL:
             best_vio = min(best_vio, vio)
             break
         if vio <= 0.25 * best_vio or not np.isfinite(best_vio):
@@ -709,11 +716,11 @@ def _continuous_stage(model, z0, config, deadline, on_round):
             if model.n_ineq:
                 mu = np.maximum(0.0, mu + rho * g)
         else:
-            rho = min(_RHO_MAX, rho * config.penalty_growth)
+            rho = min(_RHO_MAX, rho * _PENALTY_GROWTH)
         best_vio = min(best_vio, vio)
         if time.monotonic() > deadline:
             break
-    return z, best_vio, False
+    return z, best_vio
 
 
 # ---------------------------------------------------------------------------
@@ -1171,20 +1178,11 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
     best_vio = np.inf
     timed_out = False
 
-    def consider(pixels: np.ndarray) -> bool:
-        """Record an exactly-certified rounding; a True return (perfect
-        objective) stops the current continuous stage early."""
-        nonlocal best_cert, best_cert_obj
-        xf = pixels.astype(np.float64)
-        u, v = scorer.stencil.apply(xf).T
-        mism = scorer.score_batch(u[None, :], v[None, :])
-        if int(mism[0]) == 0 and scorer.exact_certified(pixels):
-            obj = float(np.sum((xf - scorer.anchor) ** 2))
-            if obj < best_cert_obj:
-                best_cert, best_cert_obj = pixels.copy(), obj
-        return best_cert_obj == 0.0
-
-    consider(anchor_pixels)
+    # The float count screens the anchor, so an uncertified one costs no
+    # exact forward check.
+    u, v = scorer.stencil.apply(anchor_pixels).T
+    if scorer.score_batch(u[None, :], v[None, :])[0] == 0 and scorer.exact_certified(anchor_pixels):
+        best_cert, best_cert_obj = anchor_pixels.copy(), 0.0
     # Certification does not stop the scan: later restarts regularly
     # land in better basins, and the best certified objective wins.
     for k in range(config.restarts):
@@ -1198,13 +1196,10 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
         else:
             sigma = min(0.5, 0.08 * k)
             x0 = np.clip(anchor_scaled + sigma * rng.standard_normal(problem.n), 0.0, 1.0)
-        z, vio, early = _continuous_stage(model, model.initial_point(x0), config, deadline, consider)
+        z, vio = _continuous_stage(model, model.initial_point(x0), config, deadline)
         best_vio = min(best_vio, vio)
-        if early:
-            break
-        cert, cert_obj, attempt, attempt_score = _repair(
-            scorer, model.pixels_raw(z), config.repair_budget, deadline
-        )
+        rounded = np.clip(np.rint(z[: problem.n] * _PIXEL_SCALE), 0, 255).astype(np.int64)
+        cert, cert_obj, attempt, attempt_score = _repair(scorer, rounded, config.repair_budget, deadline)
         if cert is not None and cert_obj < best_cert_obj:
             best_cert, best_cert_obj = cert, cert_obj
         if best_attempt_score is None or attempt_score < best_attempt_score:
@@ -1214,8 +1209,9 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
             break
 
     if best_cert is not None and best_cert_obj > 0.0 and not timed_out:
-        # Final descent from the best certificate; a mid-stage rounding
-        # recorded by consider() never went through the repair polish.
+        # Final descent from the best certificate, with a fresh repair
+        # budget: a restart's repair that ran out of budget (not one that
+        # stalled) can still improve it.
         cert, cert_obj, _, _ = _repair(scorer, best_cert, config.repair_budget, deadline)
         if cert is not None and cert_obj < best_cert_obj:
             best_cert, best_cert_obj = cert, cert_obj
@@ -1237,7 +1233,7 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
     elif timed_out:
         status = SolveStatus.TIMED_OUT
         pixels = best_attempt
-    elif best_vio <= config.feasibility_tol:
+    elif best_vio <= _FEASIBILITY_TOL:
         status = SolveStatus.CONTINUOUS_ONLY
         pixels = best_attempt
     else:

@@ -205,6 +205,18 @@ class TestAttack:
         ])
         assert rc == 2
 
+    def test_mistyped_config_value_exit_2(self, golden_pgm, tmp_path, capsys):
+        t = enroll(GOLDEN, "victim-pw", 12)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"time_limit": "30"}))
+        rc = main([
+            "attack", "--kind", "merged", "--anchor", golden_pgm,
+            "--password", "victim-pw", "--bits", "12", "--template", t.to_hex(),
+            "--config", str(cfg),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: time_limit")
+
 
 class TestBench:
     def _run(self, out_path, workers="1", extra=()):

@@ -163,13 +163,51 @@ class TestFeatureQp:
 
 
 class TestMergedQcqp:
-    def test_anchor_feasible_short_circuit(self):
+    def test_anchor_feasible_short_circuit(self, monkeypatch):
         img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
         prob = build_merged(img, enroll(img, "pw", 12), password=b"pw")
         rep = solve_qcqp(prob, SolverConfig(time_limit=30, rng_seed=1))
         assert rep.status is SolveStatus.CERTIFIED_FEASIBLE
         assert rep.objective == 0.0
         assert rep.solution == img
+
+        def no_stage(*args):
+            raise AssertionError("a certified anchor needs no continuous stage")
+
+        monkeypatch.setattr(solver_module, "_continuous_stage", no_stage)
+        rep = solve_qcqp(prob, SolverConfig(time_limit=30, rng_seed=1))
+        assert rep.certified
+        assert rep.objective == 0.0
+        assert rep.solution == img
+
+    def test_no_exact_check_inside_continuous_stage(self, monkeypatch):
+        # Certificates come from the anchor check, the repair and the
+        # window polish; the continuous stage's iterates reach them only
+        # through the repair of their rounding.
+        open_stages, checks = [], []
+        stage = solver_module._continuous_stage
+
+        def tracked(*args):
+            open_stages.append(True)
+            try:
+                return stage(*args)
+            finally:
+                open_stages.pop()
+
+        exact = solver_module._SignScorer.exact_certified
+
+        def counted(self, pixels):
+            checks.append(bool(open_stages))
+            return exact(self, pixels)
+
+        monkeypatch.setattr(solver_module, "_continuous_stage", tracked)
+        monkeypatch.setattr(solver_module._SignScorer, "exact_certified", counted)
+        img = GrayImage.from_flat(2, 2, [200, 9, 77, 130])
+        anchor = GrayImage.from_flat(2, 2, [0, 255, 32, 64])
+        prob = build_merged(anchor, enroll(img, "pw", 16), password=b"pw")
+        rep = solve_qcqp(prob, SolverConfig(time_limit=60, rng_seed=7, restarts=2))
+        assert rep.certified
+        assert checks and not any(checks)
 
     def test_random_2x2_certifies(self):
         cfg = SolverConfig(time_limit=60, rng_seed=2, restarts=4)
@@ -282,9 +320,26 @@ class TestInterfaces:
         with pytest.raises(SolverError):
             SolverConfig(rng_seed=-1)
 
-    @pytest.mark.parametrize("field", ["time_limit", "penalty_growth", "feasibility_tol"])
+    @pytest.mark.parametrize("field", ["time_limit"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(SolverError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("restarts", 2.5),
+            ("restarts", True),
+            ("max_outer_iterations", "3"),
+            ("repair_budget", 2.5),
+            ("rng_seed", 1.5),
+            ("time_limit", "30"),
+            ("time_limit", None),
+            ("time_limit", True),
+        ],
+    )
+    def test_config_rejects_mistyped_values(self, field, value):
         with pytest.raises(SolverError, match=field):
             SolverConfig(**{field: value})
 
