@@ -215,8 +215,11 @@ class Template:
 
 def binarize(projected: np.ndarray) -> Template:
     """Sign threshold: bit is 0 where the projection is strictly
-    negative, 1 otherwise (an exact 0 maps to 1)."""
+    negative, 1 otherwise (an exact 0 maps to 1).  A NaN projection has
+    no sign and raises :class:`PipelineError`."""
     projected = np.asarray(projected, dtype=np.float64)
+    if np.isnan(projected).any():
+        raise PipelineError("cannot binarize a NaN projection")
     return Template(np.where(projected < 0, 0, 1).astype(np.uint8))
 
 

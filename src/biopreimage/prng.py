@@ -4,10 +4,14 @@ The password is hashed with 64-bit FNV-1a and the result seeds a
 splitmix64 stream; both recurrences are fixed here bit-for-bit so that
 any reimplementation (any language) produces identical matrices.  The
 same holds for orthonormalized matrices: :func:`gram_schmidt` fixes its
-arithmetic down to the rounding of every operation and computes it
-exactly, so the result does not depend on the BLAS build.  The
-generator is deliberately not cryptographic: the threat model hands the
-password to the attacker anyway.
+arithmetic down to the rounding of every operation, so the result does
+not depend on the BLAS build.  Each of its dot products is the exact
+value rounded once.  A filter (:func:`_filtered_dots`) gets most of them
+cheaply: one cut of the residual gives an exact part and an ordinary
+BLAS dot with a rigorous error bound.  Only where the bound leaves the
+rounding open is the dot formed in full by error-free slicing
+(:func:`_exact_dots`).  The generator is deliberately not cryptographic: the threat model hands
+the password to the attacker anyway.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ _MIN_GRID = -1074
 #: Rows a finished column is projected out of at once: enough to spread
 #: the per-call overhead, few enough that their slices stay in cache.
 _BLOCK = 4
+
+#: Bits above its grid of the one cut :func:`_filtered_dots` takes of a
+#: residual block.  More bits leave a smaller low part, so fewer dot
+#: products need the exact fallback (2.2-2.3% at face size), but give
+#: q_k fewer bits per slice and so more slices.
+_CUT_BITS = 30
 
 
 class SeedError(ValueError):
@@ -200,6 +210,61 @@ def _exact_dots(xs: np.ndarray, xg: list[int], ys: np.ndarray, yg: list[int]) ->
     return [sum(int(v) << (e - low) for v, e in zip(p, shifts)) / (1 << -low) for p in parts]
 
 
+def _filtered_dots(q: np.ndarray, q_sliced: tuple, block: np.ndarray, vbits: int, scratch: np.ndarray) -> list[float]:
+    """Correctly rounded dot products of q with each row of a block: the
+    values :func:`_exact_dots` gives, at a fraction of its cost.
+
+    ``q_sliced`` is ``(slices, grids, l1)``: q split by :func:`_split` at
+    ``_slice_budget(n) - vbits`` bits, and sum(|q|) summed in floating
+    point in any order.  ``scratch`` holds two (_BLOCK, n) buffers.
+
+    The block is cut once, at grid g0 = e_top - vbits (|block| <
+    2**e_top), into vh on that grid and vl = block - vh, both exact.  The
+    products of vh with the slices of q are exact BLAS dot products, for
+    the reason those of :func:`_exact_dots` are; a = vl @ q is an ordinary
+    one, within err of the exact value.  So each exact dot lies in
+    [s - err, s + err], s being the exact sum of its parts and a; rounding
+    is monotone, so where ``math.fsum`` rounds both ends to the same
+    double, that double is the dot.  Where it does not, the row falls
+    back to :func:`_exact_dots`; so does the whole block when a product of
+    vh and a slice of q could fall below the smallest subnormal.
+    """
+    qs, qg, l1 = q_sliced
+    rows, n = block.shape
+    g0 = math.frexp(max(block.max(), -block.min()))[1] - vbits
+    if qg[-1] + g0 < _MIN_GRID:
+        return _exact_dots(qs, qg, *_split(block, vbits))
+    vh, vl = scratch[:, :rows]
+    sigma = math.ldexp(1.5, g0 + 52)
+    np.add(block, sigma, out=vh)
+    vh -= sigma
+    np.subtract(block, vh, out=vl)  # |vl| <= 2**(g0 - 1)
+    # The bound on the error of a = fl(vl @ q).  In any summation order,
+    # with or without fused multiply-adds, each term passes through at
+    # most n roundings of relative error u = 2**-53, so the normal part of
+    # the error is at most gamma_n * 2**(g0 - 1) * sum(|q|), with gamma_n
+    # = n*u / (1 - n*u).  Each rounding that underflows adds at most
+    # 2**-1075 instead, and at most n of them do.  err takes twice both
+    # terms: n * 2**(g0 - 53) * l1, that is 2*n*u against gamma_n, and
+    # n * 2**-1074.  For n below 2**50
+    # the factor 2 also covers l1 falling short of sum(|q|) (by a relative
+    # gamma_n at most) and the roundings of n * l1, of ldexp and of the
+    # final sum.
+    # 2 * err >= 2**-1073 is wider than the interval of reals that round
+    # to zero, so a zero never passes the filter: every zero dot comes
+    # from the exact path, with that path's sign.
+    err = math.ldexp(n * l1, g0 - 53) + n * 2.0**_MIN_GRID
+    parts = (qs @ vh.T).T.tolist()
+    approx = (vl @ q).tolist()
+    dots = []
+    for i, (p, a) in enumerate(zip(parts, approx)):
+        lo = math.fsum(p + [a, -err])
+        if lo != math.fsum(p + [a, err]):
+            lo = _exact_dots(qs, qg, *_split(block[i : i + 1], vbits))[0]
+        dots.append(lo)
+    return dots
+
+
 def _check_entries(a: np.ndarray) -> None:
     if not (np.abs(a) < _MAX_ENTRY).all():
         raise SeedError("column entries must be finite and below 2**256 in magnitude")
@@ -219,9 +284,16 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
 
     Here dot is the exact dot product rounded once to the nearest double
     (ties to even, +0.0 for an exact zero), and sqrt and / are the
-    correctly rounded IEEE-754 operations.  The exact dot products come
-    from error-free slicing, so no result depends on BLAS summation
-    order, threading or use of FMA.
+    correctly rounded IEEE-754 operations.  Each c comes from a filter
+    (:func:`_filtered_dots`): the residual is cut once, at ``_CUT_BITS``
+    below its largest entry, into a high part whose products with the
+    slices of q_k are exact and a low part whose BLAS dot with q_k is
+    within err = n 2**(g0 - 53) sum(|q_k|) + n 2**-1074 of its exact
+    value (err is twice a rigorous bound; 2**g0 is the cut's grid).  When
+    the exact sum plus and minus err rounds to one double, that double
+    is c; otherwise c, like every norm, comes from error-free slicing
+    (:func:`_exact_dots`).  Either way no result depends on BLAS
+    summation order, threading or use of FMA.
 
     Entries must be finite and below 2**256 in magnitude, so that no
     dot product can overflow; other columns raise :class:`SeedError`.
@@ -231,6 +303,8 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     fresh column in its place; without it the degenerate case raises.
     """
     columns = np.asarray(columns, dtype=np.float64)
+    if columns.ndim != 2:
+        raise SeedError(f"gram_schmidt needs a 2-D array of columns, got shape {columns.shape}")
     n, m = columns.shape
     if m > n:
         raise SeedError(f"cannot orthonormalize {m} columns in dimension {n}")
@@ -240,22 +314,29 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     # later row, a block of rows at a time; each row still sees q_0, q_1,
     # ... in order, so this is the modified Gram-Schmidt defined above.
     rows = np.array(columns.T, order="C")
-    # The residuals are sliced once per projection and each q_k once, so
-    # the residuals get the larger share of the bits: fewer slices to cut.
+    # The residual block is cut once per projection at _CUT_BITS, and each
+    # q_k sliced once with the rest of the budget; columns longer than
+    # 2**15 get a lower cut, so that q_k's slices keep 8 bits.
     budget = _slice_budget(n)
-    vbits = 2 * budget // 3
+    vbits = min(_CUT_BITS, budget - 8)
+    scratch = np.empty((2, _BLOCK, n))
 
-    def project_out(block, k, q_slices):
-        dots = _exact_dots(*q_slices, *_split(block, vbits))
-        block -= np.array(dots)[:, None] * rows[k]
+    def sliced(q):
+        return *_split(q, budget - vbits), float(np.abs(q).sum())
+
+    def project_out(block, q, q_sliced):
+        dots = _filtered_dots(q, q_sliced, block, vbits, scratch)
+        # the products reuse the low part's buffer, free once the dots are back
+        block -= np.multiply(np.array(dots)[:, None], q, out=scratch[1, : len(block)])
 
     def norm(v):
         s, g = _split(v, budget // 2)
         return math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
 
+    scales = [norm(v) for v in rows]
     attempts = 0
     for j, v in enumerate(rows):
-        scale = norm(columns[:, j])
+        scale = scales[j]
         while (length := norm(v)) <= _DEGENERATE_NORM * scale:
             attempts += 1
             if regenerate is None or attempts > 64:
@@ -263,12 +344,12 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
             v[:] = regenerate()
             _check_entries(v)
             scale = norm(v)
-            for k in range(j):
-                project_out(v[None], k, _split(rows[k], budget - vbits))
+            for q in rows[:j]:
+                project_out(v[None], q, sliced(q))
         v /= length
-        q_slices = _split(v, budget - vbits)
+        q_sliced = sliced(v)
         for b in range(j + 1, m, _BLOCK):
-            project_out(rows[b : b + _BLOCK], j, q_slices)
+            project_out(rows[b : b + _BLOCK], v, q_sliced)
     return np.ascontiguousarray(rows.T)
 
 

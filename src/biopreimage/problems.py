@@ -69,6 +69,8 @@ class SignConstraintSet:
         m = len(self.template)
         if matrix.ndim != 2 or matrix.shape[1] != m:
             raise ProblemError(f"matrix shape {matrix.shape} does not fit {m}-bit template")
+        if not np.isfinite(matrix).all():
+            raise ProblemError("matrix entries must be finite")
         zero_idx = np.asarray(self.zero_idx, dtype=np.intp)
         one_idx = np.asarray(self.one_idx, dtype=np.intp)
         merged = np.concatenate([zero_idx, one_idx])
@@ -146,6 +148,8 @@ class AttackProblem:
             af = np.asarray(self.anchor_feature, dtype=np.float64).copy()
             if af.shape != (n,):
                 raise ProblemError(f"anchor feature length {af.shape} != pixel count {n}")
+            if not np.isfinite(af).all():
+                raise ProblemError("anchor feature entries must be finite")
             af.flags.writeable = False
             object.__setattr__(self, "anchor_feature", af)
         if self.target_feature is not None:

@@ -65,6 +65,7 @@ from .pipeline import (
     SOBEL_X,
     SOBEL_Y,
     GrayImage,
+    PipelineError,
     Template,
     binarize,
     convolve,
@@ -72,7 +73,7 @@ from .pipeline import (
     project,
     sobel,
 )
-from .problems import AttackProblem, ProblemKind
+from .problems import AttackProblem, ProblemKind, SignConstraintSet
 
 _PIXEL_SCALE = 255.0
 #: Scaled upper bound for the auxiliary magnitude variables; slightly
@@ -286,6 +287,16 @@ class SobelStencil:
 # Certification
 
 
+def _signs_match(feature: np.ndarray, cs: SignConstraintSet) -> bool:
+    """Whether the feature's binarized projections are cs's template.
+    Problems hold finite matrices and features, but a projection can
+    still overflow to NaN; one with no sign matches no template."""
+    try:
+        return binarize(project(feature, cs.matrix)) == cs.template
+    except PipelineError:
+        return False
+
+
 def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
     """Ground-truth success map for a candidate image.
 
@@ -304,10 +315,9 @@ def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
     out: dict[str, bool] = {}
     for i, cs in enumerate(problem.constraint_sets):
         if cs.password is not None:
-            got = enroll(candidate, cs.password, cs.m, cs.orthonormalize)
+            out[str(i)] = enroll(candidate, cs.password, cs.m, cs.orthonormalize) == cs.template
         else:
-            got = binarize(project(sobel(candidate), cs.matrix))
-        out[str(i)] = got == cs.template
+            out[str(i)] = _signs_match(sobel(candidate), cs)
     return out
 
 
@@ -512,7 +522,7 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
             wall_time=time.monotonic() - start,
             certification={"0": False},
         )
-    certified = binarize(project(x, cs.matrix)) == cs.template
+    certified = _signs_match(x, cs)
     if certified:
         status = SolveStatus.CERTIFIED_FEASIBLE
     objective = float(np.sum((x - a) ** 2))
@@ -806,10 +816,7 @@ class _SignScorer(_Scorer):
         problem = self.problem
         img = GrayImage(problem.width, problem.height, pixels.reshape(problem.height, problem.width))
         feat = sobel(img)
-        return all(
-            binarize(project(feat, cs.matrix)) == cs.template
-            for cs in problem.constraint_sets
-        )
+        return all(_signs_match(feat, cs) for cs in problem.constraint_sets)
 
 
 class _FeatureScorer(_Scorer):

@@ -178,6 +178,11 @@ class TestBinarize:
         t = binarize(np.array([-1.0, 1.0, -1e-300, 1e-300]))
         assert t.to_bitstring() == "0101"
 
+    def test_nan_raises_and_infinities_keep_their_sign(self):
+        with pytest.raises(PipelineError, match="NaN"):
+            binarize(np.array([np.nan, -1.0, np.inf]))
+        assert binarize(np.array([-np.inf, np.inf])).to_bitstring() == "01"
+
     def test_exact_zero_is_one(self):
         assert binarize(np.zeros(5)).to_bitstring() == "11111"
 

@@ -1,8 +1,10 @@
 """Keyed matrix generation tests: hash vectors, stream statistics,
 column order, orthonormalization, and frozen golden outputs."""
 
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import biopreimage
+from biopreimage import prng
 from biopreimage import (
     SeedError,
     SplitMix64,
@@ -20,7 +23,16 @@ from biopreimage import (
     gram_schmidt,
     matrix_digest,
 )
-from biopreimage.prng import _DRAW_BLOCK, _GAMMA, FNV_OFFSET_BASIS
+from biopreimage.prng import (
+    _BLOCK,
+    _CUT_BITS,
+    _DRAW_BLOCK,
+    _GAMMA,
+    FNV_OFFSET_BASIS,
+    _filtered_dots,
+    _slice_budget,
+    _split,
+)
 
 
 def _rounded_dot(x, y):
@@ -254,6 +266,23 @@ class TestGramSchmidt:
         cols = np.array(cols).T
         assert _same_bits(gram_schmidt(cols), _mgs_oracle(cols))
 
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 2, 2)])
+    def test_non_matrix_input_raises(self, shape):
+        with pytest.raises(SeedError, match=re.escape(str(shape))):
+            gram_schmidt(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "password, digest",
+        [
+            ("a", "82b7905d924fa4f1756662ad0939309448d07b65d35f9d6fb25a18ee265ecb55"),
+            ("face-b", "59689d2be7be296f83d8c175605a6556c1b2e51c4ac4fb08ef3377e86c821dcd"),
+        ],
+    )
+    def test_face_size_sha256(self, password, digest):
+        # a 112x92 image's pixel count and a 256-bit template
+        mat = derive_matrix(password, 10304, 256, orthonormalize=True)
+        assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**256])
     def test_non_finite_or_oversized_entries_raise(self, bad):
         cols = np.eye(4, 2)
@@ -362,3 +391,70 @@ class TestDegenerateThreshold:
     def test_dependent_columns_of_any_scale_raise(self, cols):
         with pytest.raises(SeedError):
             gram_schmidt(cols)
+
+
+def _filter_case(name):
+    """(q, block, the row counts of the blocks passed to _exact_dots)."""
+    if name == "near-midpoint":
+        # q . row = row.sum(); the cut leaves err = 2**-78 around each sum
+        q = np.ones(4)
+        block = np.array(
+            [
+                [1.0, 2.0**-53, 2.0**-80, 0.0],  # 2**-80 above the tie 1 + 2**-53: within err
+                [1.0, 2.0**-53 + 2.0**-70, 0.0, 0.0],  # 2**-70 above it: resolved
+                [1.0, 2.0**-53, 0.0, 0.0],  # the tie itself, to even: 1.0
+                [1.0, -(2.0**-54) - 2.0**-75, 0.0, 0.0],  # 2**-75 below the tie 1 - 2**-54
+            ]
+        )
+        return q, block, [1, 1]
+    if name == "tie":
+        # the "tie" columns above: 1 + 2**-53 + 2**-1200, whose last term
+        # the BLAS dot loses to underflow
+        return np.array([1.0, 2.0**-53, 2.0**-600, 0.0]), np.array([[1.0, 1.0, 2.0**-600, 0.5]]), [1]
+    if name == "subnormal":
+        # the "subnormal" columns above: q's finest slice is on the grid
+        # 2**-1074, so a product with the cut's grid could underflow
+        q = np.array([1.0, 1e-300, 0.3, -2.5e-301, 5e-324])
+        block = np.array([[0.7, 3e-300, 1.0, 1e-310, -0.2], [0.5, 0.25, -1.0, 0.0, 2.0]])
+        return q, block, [2]
+    if name == "uniform":
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal(64)
+        return q / np.linalg.norm(q), rng.uniform(-0.5, 0.5, (_BLOCK, 64)), []
+    raise ValueError(name)
+
+
+def _count_exact_dots(monkeypatch):
+    """Record the row count of every block passed to prng._exact_dots."""
+    calls = []
+    exact_dots = prng._exact_dots
+
+    def counted(xs, xg, ys, yg):
+        calls.append(ys.shape[1])
+        return exact_dots(xs, xg, ys, yg)
+
+    monkeypatch.setattr(prng, "_exact_dots", counted)
+    return calls
+
+
+class TestFilteredDots:
+    @pytest.mark.parametrize("name", ["near-midpoint", "tie", "subnormal", "uniform"])
+    def test_matches_exact_dots(self, name, monkeypatch):
+        q, block, want_calls = _filter_case(name)
+        n = block.shape[1]
+        q_sliced = (*_split(q, _slice_budget(n) - _CUT_BITS), float(np.abs(q).sum()))
+        want = prng._exact_dots(*q_sliced[:2], *_split(block, _CUT_BITS))
+        calls = _count_exact_dots(monkeypatch)
+        got = _filtered_dots(q, q_sliced, block, _CUT_BITS, np.empty((2, _BLOCK, n)))
+        assert _same_bits(np.array(got), np.array(want))
+        assert _same_bits(np.array(got), np.array([_rounded_dot(q, row) for row in block]))
+        # the underflow guard passes the whole block, a fallback one row;
+        # the rows of neither took the fast path
+        assert calls == want_calls
+
+    def test_fallback_is_rare(self, monkeypatch):
+        calls = _count_exact_dots(monkeypatch)
+        derive_matrix("fallback-pw", 2000, 32, orthonormalize=True)
+        # each of the 32 columns takes two norms, one call each; the other
+        # calls are fallbacks, out of 32 * 31 / 2 projections
+        assert set(calls) == {1} and len(calls) - 64 < 0.05 * 496

@@ -88,6 +88,13 @@ class TestSignConstraintSet:
         with pytest.raises(ProblemError):
             SignConstraintSet.from_template(t, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        mat = np.zeros((2, 2))
+        mat[1, 0] = bad
+        with pytest.raises(ProblemError, match="finite"):
+            SignConstraintSet.from_template(Template.from_bitstring("01"), mat)
+
 
 class TestProblemValidation:
     def test_rejects_nonpositive_delta(self):
@@ -114,6 +121,13 @@ class TestProblemValidation:
         cs = SignConstraintSet.from_template(t, np.ones((1, 1)))
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.MULTI_COLLISION, 1, 1, 1.0, constraint_sets=(cs,))
+
+    def test_rejects_non_finite_anchor_feature(self):
+        cs = SignConstraintSet.from_template(Template.from_bitstring("1"), np.ones((2, 1)))
+        with pytest.raises(ProblemError, match="finite"):
+            AttackProblem(
+                ProblemKind.FEATURE_PHASE, 1, 2, 1.0, anchor_feature=[1.0, np.nan], constraint_sets=(cs,)
+            )
 
     def test_image_phase_needs_target(self):
         with pytest.raises(ProblemError):

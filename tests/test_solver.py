@@ -350,6 +350,15 @@ class TestInterfaces:
         with pytest.raises(SolverError):
             certify(GrayImage(1, 1, [[0]]), prob)
 
+    def test_certify_nan_projection_is_uncertified(self, monkeypatch):
+        # finite matrix entries can still overflow to inf - inf = NaN in
+        # some summation orders; a NaN has no sign and matches no bit
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        mat = np.array([[1e308], [-1e308], [1e308], [-1e308]])
+        prob = build_merged(img, Template.from_bitstring("1"), matrix=mat, delta=1.0)
+        monkeypatch.setattr(solver_module, "project", lambda f, m: np.full(m.shape[1], np.nan))
+        assert certify(img, prob) == {"0": False}
+
     def test_conv_operators_match_sobel(self):
         rng = np.random.default_rng(71)
         a1, a2 = conv_operators(3, 4)
