@@ -17,6 +17,7 @@ still exist.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ from .problems import (
     build_feature_phase,
     build_image_phase,
     build_merged,
-    build_multi_auth,
     build_multi_collision,
     problem_from_json,
 )
@@ -154,13 +154,16 @@ def _build_attack_problem(args):
     template = Template.from_hex(args.template, args.bits)
     password = args.password.encode("utf-8")
     if args.kind == "feature":
-        feature = sobel(anchor)
-        matrix = derive_matrix(password, anchor.n, args.bits, args.orthonormalize)
         return build_feature_phase(
-            feature, template, matrix, args.delta, password, args.orthonormalize
+            sobel(anchor),
+            template,
+            delta=args.delta,
+            password=password,
+            orthonormalize=args.orthonormalize,
         )
-    builder = build_merged if args.kind == "merged" else build_multi_auth
-    return builder(
+    # "merged" and "multi-auth" build the same program; they differ only
+    # in where the template came from.
+    return build_merged(
         anchor,
         template,
         delta=args.delta,
@@ -186,24 +189,20 @@ def _synth_image(width: int, height: int, tag: str) -> GrayImage:
 
 
 def _bench_trial(payload):
-    trial, side, bits, seed, time_limit = payload
+    trial, side, bits, config = payload
+    seed = config.rng_seed
     anchor = _synth_image(side, side, f"bench:{seed}:{trial}:anchor")
     victim = _synth_image(side, side, f"bench:{seed}:{trial}:victim")
     password = f"bench:{seed}:{trial}:pw"
     template = enroll(victim, password, bits)
     problem = build_merged(anchor, template, password=password.encode("utf-8"))
-    config = SolverConfig(time_limit=time_limit, rng_seed=seed + trial)
-    report = solve_qcqp(problem, config)
+    report = solve_qcqp(problem, dataclasses.replace(config, rng_seed=seed + trial))
     return trial, report.euclidean_distance, report.wall_time, report.certified
 
 
 def _cmd_bench(args) -> int:
     config = _solver_config(args)
-    seed = config.rng_seed
-    payloads = [
-        (t, args.image_size, args.template_size, seed, config.time_limit)
-        for t in range(args.trials)
-    ]
+    payloads = [(t, args.image_size, args.template_size, config) for t in range(args.trials)]
     results = []
     try:
         if args.workers == 1:

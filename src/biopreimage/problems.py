@@ -1,18 +1,18 @@
 """Attack problems: stolen material turned into constrained programs.
 
-Each builder produces an immutable :class:`AttackProblem` describing one
-of the constrained programs the solver knows how to attack:
+Each builder produces an immutable :class:`AttackProblem` of one of
+three kinds:
 
 * feature phase - convex QP over the feature vector (sign constraints
   on its projections, closest to the attacker's own feature);
 * image phase - recover an image whose squared gradient magnitudes
   match a target feature vector;
-* merged - both stages in one program over the image, with auxiliary
-  magnitude variables;
-* multi-auth - merged program against the Hamming center of several
-  victims' templates, under the attacker's own password;
-* multi-collision - merged program stacking several victims' sign
-  constraints (their passwords are known).
+* sign - one program over the image, with auxiliary magnitude variables
+  and the sign constraints of k >= 1 templates.  ``build_merged`` (one
+  stolen template), ``build_multi_auth`` (a Hamming center of several
+  victims' templates under the attacker's own password) and
+  ``build_multi_collision`` (several victims, each under their own
+  password) all build this kind.
 
 Strict "< 0" sign constraints are encoded as "<= -delta" with a small
 positive margin: numerical solvers cannot express strictness, and the
@@ -47,63 +47,41 @@ class ProblemError(ValueError):
 class ProblemKind(Enum):
     FEATURE_PHASE = "feature_phase"
     IMAGE_PHASE = "image_phase"
-    MERGED = "merged"
-    MULTI_AUTH = "multi_auth"
-    MULTI_COLLISION = "multi_collision"
+    SIGN = "sign"
+
+
+#: Kind strings written by earlier versions, read as :attr:`ProblemKind.SIGN`.
+_KIND_ALIASES = {"merged": "sign", "multi_auth": "sign", "multi_collision": "sign"}
 
 
 @dataclass(frozen=True)
 class SignConstraintSet:
     """One victim's sign pattern: which projection columns must come out
-    negative (bit 0) and which non-negative (bit 1)."""
+    negative (bit 0) and which non-negative (bit 1).  The column index
+    sets are read off the template."""
 
     matrix: np.ndarray
-    zero_idx: np.ndarray
-    one_idx: np.ndarray
     template: Template
     password: bytes | None = None
     orthonormalize: bool = False
+    zero_idx: np.ndarray = field(init=False)
+    one_idx: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = np.asarray(self.matrix, dtype=np.float64).copy()
         m = len(self.template)
         if matrix.ndim != 2 or matrix.shape[1] != m:
             raise ProblemError(f"matrix shape {matrix.shape} does not fit {m}-bit template")
         if not np.isfinite(matrix).all():
             raise ProblemError("matrix entries must be finite")
-        zero_idx = np.asarray(self.zero_idx, dtype=np.intp)
-        one_idx = np.asarray(self.one_idx, dtype=np.intp)
-        merged = np.concatenate([zero_idx, one_idx])
-        if (
-            merged.size != m
-            or len(np.unique(merged)) != m
-            or (m and (merged.min() < 0 or merged.max() >= m))
+        bits = self.template.bits
+        for name, arr in (
+            ("matrix", matrix),
+            ("zero_idx", np.flatnonzero(bits == 0)),
+            ("one_idx", np.flatnonzero(bits == 1)),
         ):
-            raise ProblemError("zero/one index sets must partition the template columns")
-        if (self.template.bits[zero_idx] != 0).any() or (self.template.bits[one_idx] != 1).any():
-            raise ProblemError("index sets disagree with template bits")
-        for name, arr in (("matrix", matrix), ("zero_idx", zero_idx), ("one_idx", one_idx)):
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_template(
-        cls,
-        template: Template,
-        matrix: np.ndarray,
-        password: bytes | None = None,
-        orthonormalize: bool = False,
-    ) -> "SignConstraintSet":
-        bits = template.bits
-        return cls(
-            matrix=matrix,
-            zero_idx=np.flatnonzero(bits == 0),
-            one_idx=np.flatnonzero(bits == 1),
-            template=template,
-            password=password,
-            orthonormalize=orthonormalize,
-        )
 
     @property
     def n(self) -> int:
@@ -136,26 +114,26 @@ class AttackProblem:
                 raise ProblemError(
                     f"constraint matrix row count {cs.n} does not match pixel count {n}"
                 )
-        if self.kind is ProblemKind.MULTI_COLLISION:
-            if len(self.constraint_sets) < 2:
-                raise ProblemError("multi-collision needs at least two victims")
-        elif self.kind is ProblemKind.IMAGE_PHASE:
-            if self.target_feature is None or len(self.target_feature) != n:
-                raise ProblemError("image phase needs a target feature of pixel-count length")
-        elif len(self.constraint_sets) != 1:
-            raise ProblemError(f"{self.kind.value} expects exactly one constraint set")
-        if self.anchor_feature is not None:
-            af = np.asarray(self.anchor_feature, dtype=np.float64).copy()
-            if af.shape != (n,):
-                raise ProblemError(f"anchor feature length {af.shape} != pixel count {n}")
-            if not np.isfinite(af).all():
-                raise ProblemError("anchor feature entries must be finite")
-            af.flags.writeable = False
-            object.__setattr__(self, "anchor_feature", af)
-        if self.target_feature is not None:
-            tf = np.asarray(self.target_feature, dtype=np.float64).copy()
-            tf.flags.writeable = False
-            object.__setattr__(self, "target_feature", tf)
+        if self.kind is ProblemKind.IMAGE_PHASE:
+            if self.target_feature is None:
+                raise ProblemError("image phase needs a target feature")
+        elif not self.constraint_sets:
+            raise ProblemError(f"{self.kind.value} problem needs at least one constraint set")
+        elif self.kind is ProblemKind.FEATURE_PHASE and len(self.constraint_sets) > 1:
+            # solve_qp reads only constraint_sets[0]
+            raise ProblemError("feature phase takes exactly one constraint set")
+        for name in ("anchor_feature", "target_feature"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            label = name.replace("_", " ")
+            arr = np.asarray(value, dtype=np.float64).copy()
+            if arr.shape != (n,):
+                raise ProblemError(f"{label} length {arr.shape} != pixel count {n}")
+            if not np.isfinite(arr).all():
+                raise ProblemError(f"{label} entries must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -175,6 +153,38 @@ def default_margin(*matrices: np.ndarray) -> float:
     return DEFAULT_MARGIN_SCALE * top
 
 
+def _constraint_set(
+    template: Template,
+    n: int,
+    matrix: np.ndarray | None = None,
+    password: bytes | str | None = None,
+    orthonormalize: bool = False,
+) -> SignConstraintSet:
+    """The one place a password becomes a projection matrix.
+
+    With only a password the n x len(template) matrix is derived here.
+    A matrix given together with a password must be exactly that
+    password's derivation: the archive stores only the password, and the
+    report's certification map re-enrolls under it.
+    """
+    if isinstance(password, str):
+        password = password.encode("utf-8")
+    shape = (n, len(template))
+    if matrix is not None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.shape != shape:
+            raise ProblemError(f"matrix shape {matrix.shape} != {shape}")
+    if password is not None:
+        derived = derive_matrix(password, *shape, orthonormalize)
+        if matrix is None:
+            matrix = derived
+        elif not np.array_equal(matrix, derived):
+            raise ProblemError("matrix differs from the one its password derives")
+    elif matrix is None:
+        raise ProblemError("need a projection matrix or a password to derive one")
+    return SignConstraintSet(matrix, template, password, orthonormalize)
+
+
 def _feature_dims(feature: np.ndarray) -> int:
     feature = np.asarray(feature, dtype=np.float64)
     if feature.ndim != 1:
@@ -185,23 +195,24 @@ def _feature_dims(feature: np.ndarray) -> int:
 def build_feature_phase(
     anchor_feature: np.ndarray,
     template: Template,
-    matrix: np.ndarray,
+    matrix: np.ndarray | None = None,
     delta: float | None = None,
     password: bytes | None = None,
     orthonormalize: bool = False,
 ) -> AttackProblem:
     """Closest non-negative feature vector whose projections carry the
-    target sign pattern.  Convex; image dims are carried as 1 x n."""
+    target sign pattern.  Convex; image dims are carried as 1 x n.
+
+    Either the projection matrix or the password it derives from must be
+    given; with only the password the matrix is derived here.
+    """
     n = _feature_dims(anchor_feature)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (n, len(template)):
-        raise ProblemError(f"matrix shape {matrix.shape} != ({n}, {len(template)})")
-    cs = SignConstraintSet.from_template(template, matrix, password, orthonormalize)
+    cs = _constraint_set(template, n, matrix, password, orthonormalize)
     return AttackProblem(
         kind=ProblemKind.FEATURE_PHASE,
         height=1,
         width=n,
-        delta=default_margin(matrix) if delta is None else delta,
+        delta=default_margin(cs.matrix) if delta is None else delta,
         anchor_feature=anchor_feature,
         constraint_sets=(cs,),
     )
@@ -224,6 +235,19 @@ def build_image_phase(anchor_image: GrayImage, target_feature: np.ndarray) -> At
     )
 
 
+def _sign_problem(
+    anchor_image: GrayImage, sets: tuple[SignConstraintSet, ...], delta: float | None
+) -> AttackProblem:
+    return AttackProblem(
+        kind=ProblemKind.SIGN,
+        height=anchor_image.height,
+        width=anchor_image.width,
+        delta=default_margin(*(cs.matrix for cs in sets)) if delta is None else delta,
+        anchor_image=anchor_image,
+        constraint_sets=sets,
+    )
+
+
 def build_merged(
     anchor_image: GrayImage,
     template: Template,
@@ -236,24 +260,10 @@ def build_merged(
     to the squared gradients, sign constraints on their projections.
 
     Either the projection matrix or the password it derives from must be
-    given; with only the password the matrix is re-derived here.
+    given; with only the password the matrix is derived here.
     """
-    if matrix is None:
-        if password is None:
-            raise ProblemError("need a projection matrix or a password to derive one")
-        matrix = derive_matrix(password, anchor_image.n, len(template), orthonormalize)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (anchor_image.n, len(template)):
-        raise ProblemError(f"matrix shape {matrix.shape} != ({anchor_image.n}, {len(template)})")
-    cs = SignConstraintSet.from_template(template, matrix, password, orthonormalize)
-    return AttackProblem(
-        kind=ProblemKind.MERGED,
-        height=anchor_image.height,
-        width=anchor_image.width,
-        delta=default_margin(matrix) if delta is None else delta,
-        anchor_image=anchor_image,
-        constraint_sets=(cs,),
-    )
+    cs = _constraint_set(template, anchor_image.n, matrix, password, orthonormalize)
+    return _sign_problem(anchor_image, (cs,), delta)
 
 
 def build_multi_auth(
@@ -264,17 +274,10 @@ def build_multi_auth(
     password: bytes | None = None,
     orthonormalize: bool = False,
 ) -> AttackProblem:
-    """Merged program whose target is a Hamming-center template and whose
-    matrix belongs to the attacker; no victim password is involved."""
-    base = build_merged(anchor_image, center, matrix, delta, password, orthonormalize)
-    return AttackProblem(
-        kind=ProblemKind.MULTI_AUTH,
-        height=base.height,
-        width=base.width,
-        delta=base.delta,
-        anchor_image=base.anchor_image,
-        constraint_sets=base.constraint_sets,
-    )
+    """Merged program whose target is a Hamming-center template (see
+    :func:`hamming_center`) and whose matrix belongs to the attacker; no
+    victim password is involved.  The program is :func:`build_merged`'s."""
+    return build_merged(anchor_image, center, matrix, delta, password, orthonormalize)
 
 
 def build_multi_collision(
@@ -292,14 +295,10 @@ def build_multi_collision(
     if len(victims) < 2:
         raise ProblemError("multi-collision needs at least two (template, password) pairs")
     n = anchor_image.n
-    sets = []
-    for template, password in victims:
-        if isinstance(password, str):
-            password = password.encode("utf-8")
-        matrix = derive_matrix(password, n, len(template), orthonormalize)
-        sets.append(
-            SignConstraintSet.from_template(template, matrix, password, orthonormalize)
-        )
+    sets = tuple(
+        _constraint_set(template, n, password=password, orthonormalize=orthonormalize)
+        for template, password in victims
+    )
     total_bits = sum(cs.m for cs in sets)
     if total_bits > n:
         warnings.warn(
@@ -307,14 +306,7 @@ def build_multi_collision(
             f"the combined system may be infeasible",
             stacklevel=2,
         )
-    return AttackProblem(
-        kind=ProblemKind.MULTI_COLLISION,
-        height=anchor_image.height,
-        width=anchor_image.width,
-        delta=default_margin(*(cs.matrix for cs in sets)) if delta is None else delta,
-        anchor_image=anchor_image,
-        constraint_sets=tuple(sets),
-    )
+    return _sign_problem(anchor_image, sets, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,38 +484,32 @@ def problem_to_json(problem: AttackProblem) -> dict:
 
 
 def problem_from_json(doc: dict) -> AttackProblem:
+    kind_value = doc.get("kind")
     try:
-        kind = ProblemKind(doc["kind"])
-    except ValueError:
-        raise ProblemError(f"unknown problem kind {doc.get('kind')!r}") from None
+        kind = ProblemKind(_KIND_ALIASES.get(kind_value, kind_value))
+    except (TypeError, ValueError):
+        raise ProblemError(f"unknown problem kind {kind_value!r}") from None
     height, width = int(doc["height"]), int(doc["width"])
-    n = height * width
     anchor_image = None
     if "anchor_image" in doc:
         anchor_image = GrayImage(width, height, np.array(doc["anchor_image"], dtype=np.int64))
-    anchor_feature = np.array(doc["anchor_feature"], dtype=np.float64) if "anchor_feature" in doc else None
-    target_feature = np.array(doc["target_feature"], dtype=np.float64) if "target_feature" in doc else None
     sets = []
     for entry in doc.get("constraint_sets", []):
+        pw_hex = entry.get("password_hex")
+        password = bytes.fromhex(pw_hex) if pw_hex is not None else None
+        matrix = entry["matrix"] if password is None else None
         template = Template.from_bitstring(entry["template"])
         ortho = bool(entry.get("orthonormalize", False))
-        pw_hex = entry.get("password_hex")
-        if pw_hex is not None:
-            password = bytes.fromhex(pw_hex)
-            matrix = derive_matrix(password, n, len(template), ortho)
-        else:
-            password = None
-            matrix = np.array(entry["matrix"], dtype=np.float64)
-        sets.append(SignConstraintSet.from_template(template, matrix, password, ortho))
+        sets.append(_constraint_set(template, height * width, matrix, password, ortho))
     return AttackProblem(
         kind=kind,
         height=height,
         width=width,
         delta=float(doc["delta"]),
         anchor_image=anchor_image,
-        anchor_feature=anchor_feature,
+        anchor_feature=doc.get("anchor_feature"),
         constraint_sets=tuple(sets),
-        target_feature=target_feature,
+        target_feature=doc.get("target_feature"),
     )
 
 

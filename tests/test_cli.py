@@ -113,6 +113,19 @@ class TestAttack:
         assert doc["objective"] == 0.0
         assert enroll(load_pgm(sol), "victim-pw", 12) == t
 
+    @pytest.mark.parametrize("kind", ["feature", "multi-auth"])
+    def test_password_kinds_self_preimage(self, golden_pgm, kind, capsys):
+        t = enroll(GOLDEN, "victim-pw", 12)
+        rc = main([
+            "attack", "--kind", kind, "--anchor", golden_pgm,
+            "--password", "victim-pw", "--bits", "12", "--template", t.to_hex(),
+            "--time-limit", "30",
+        ])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "certified_feasible"
+        assert doc["objective"] == 0.0
+
     def test_forged_image_passes_verify(self, tmp_path, capsys):
         rng = np.random.default_rng(73)
         victim = GrayImage(2, 2, rng.integers(0, 256, size=(2, 2)))
@@ -241,6 +254,22 @@ class TestBench:
         assert self._run(b, extra=("--no-timing",)) == 0
         assert a.read_bytes() == b.read_bytes()
         assert ",0.000000," in a.read_text()
+
+    def test_config_reaches_every_trial(self, tmp_path, capsys):
+        # with no repair budget, one AL round on 3x3/20 certifies nothing;
+        # with the default budget the repair certifies every trial
+        rates = []
+        for extra in ({"repair_budget": 0}, {}):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"restarts": 1, "max_outer_iterations": 1, **extra}))
+            out = tmp_path / "bench.csv"
+            assert main([
+                "bench", "--image-size", "3", "--template-size", "20", "--trials", "3",
+                "--seed", "5", "--workers", "1", "--no-timing", "--config", str(cfg),
+                "--out", str(out),
+            ]) == 0
+            rates.append(float(out.read_text().splitlines()[1].split(",")[4]))
+        assert rates == [0.0, 1.0]
 
     def test_worker_pool_smoke(self, tmp_path, capsys):
         out = tmp_path / "pool.csv"

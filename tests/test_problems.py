@@ -66,68 +66,73 @@ def center_oracle(bit_rows, epsilon):
 
 
 class TestSignConstraintSet:
-    def test_from_template_partition(self):
+    def test_partition_follows_template_bits(self):
         t = Template.from_bitstring("0110")
-        cs = SignConstraintSet.from_template(t, np.zeros((5, 4)))
+        cs = SignConstraintSet(np.zeros((5, 4)), t)
         assert cs.zero_idx.tolist() == [0, 3]
         assert cs.one_idx.tolist() == [1, 2]
         assert cs.n == 5 and cs.m == 4
 
-    def test_rejects_overlapping_partition(self):
-        t = Template.from_bitstring("01")
-        with pytest.raises(ProblemError):
-            SignConstraintSet(np.zeros((2, 2)), [0, 0], [1], t)
-
-    def test_rejects_partition_template_disagreement(self):
-        t = Template.from_bitstring("01")
-        with pytest.raises(ProblemError):
-            SignConstraintSet(np.zeros((2, 2)), [1], [0], t)
-
     def test_rejects_matrix_width_mismatch(self):
         t = Template.from_bitstring("01")
         with pytest.raises(ProblemError):
-            SignConstraintSet.from_template(t, np.zeros((2, 3)))
+            SignConstraintSet(np.zeros((2, 3)), t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_matrix(self, bad):
         mat = np.zeros((2, 2))
         mat[1, 0] = bad
         with pytest.raises(ProblemError, match="finite"):
-            SignConstraintSet.from_template(Template.from_bitstring("01"), mat)
+            SignConstraintSet(mat, Template.from_bitstring("01"))
 
 
 class TestProblemValidation:
     def test_rejects_nonpositive_delta(self):
         t = Template.from_bitstring("1")
-        cs = SignConstraintSet.from_template(t, np.ones((1, 1)))
+        cs = SignConstraintSet(np.ones((1, 1)), t)
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, 0.0, constraint_sets=(cs,))
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
     def test_rejects_non_finite_delta(self, delta):
         t = Template.from_bitstring("1")
-        cs = SignConstraintSet.from_template(t, np.ones((1, 1)))
+        cs = SignConstraintSet(np.ones((1, 1)), t)
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, delta, constraint_sets=(cs,))
 
     def test_rejects_row_count_mismatch(self):
         t = Template.from_bitstring("1")
-        cs = SignConstraintSet.from_template(t, np.ones((3, 1)))
+        cs = SignConstraintSet(np.ones((3, 1)), t)
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.FEATURE_PHASE, 2, 2, 1.0, constraint_sets=(cs,))
 
     def test_multi_collision_needs_two_sets(self):
-        t = Template.from_bitstring("1")
-        cs = SignConstraintSet.from_template(t, np.ones((1, 1)))
-        with pytest.raises(ProblemError):
-            AttackProblem(ProblemKind.MULTI_COLLISION, 1, 1, 1.0, constraint_sets=(cs,))
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        with pytest.raises(ProblemError, match="two"):
+            build_multi_collision(img, [(enroll(img, "pw", 4), b"pw")])
+
+    @pytest.mark.parametrize(
+        "kind, count", [(ProblemKind.SIGN, 0), (ProblemKind.FEATURE_PHASE, 0), (ProblemKind.FEATURE_PHASE, 2)]
+    )
+    def test_constraint_set_count(self, kind, count):
+        cs = SignConstraintSet(np.ones((1, 1)), Template.from_bitstring("1"))
+        with pytest.raises(ProblemError, match="constraint set"):
+            AttackProblem(kind, 1, 1, 1.0, anchor_feature=[1.0], constraint_sets=(cs,) * count)
 
     def test_rejects_non_finite_anchor_feature(self):
-        cs = SignConstraintSet.from_template(Template.from_bitstring("1"), np.ones((2, 1)))
+        cs = SignConstraintSet(np.ones((2, 1)), Template.from_bitstring("1"))
         with pytest.raises(ProblemError, match="finite"):
             AttackProblem(
                 ProblemKind.FEATURE_PHASE, 1, 2, 1.0, anchor_feature=[1.0, np.nan], constraint_sets=(cs,)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_target_feature(self, bad):
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        target = sobel(img).copy()
+        target[1] = bad
+        with pytest.raises(ProblemError, match="finite"):
+            build_image_phase(img, target)
 
     def test_image_phase_needs_target(self):
         with pytest.raises(ProblemError):
@@ -147,7 +152,7 @@ class TestBuilders:
         prob = build_merged(self.img, self.t, password=b"victim-pw")
         want = derive_matrix(b"victim-pw", 4, 8)
         assert np.array_equal(prob.constraint_sets[0].matrix, want)
-        assert prob.kind is ProblemKind.MERGED
+        assert prob.kind is ProblemKind.SIGN
         assert prob.anchor_image == self.img
 
     def test_merged_explicit_matrix(self):
@@ -158,6 +163,26 @@ class TestBuilders:
     def test_merged_needs_matrix_or_password(self):
         with pytest.raises(ProblemError):
             build_merged(self.img, self.t)
+
+    @pytest.mark.parametrize("build", [build_merged, build_feature_phase])
+    def test_matrix_must_match_password(self, build):
+        # a matrix from one password filed under another would be
+        # certified against the first and archived as the second
+        img = GrayImage.from_flat(3, 2, [10, 200, 35, 90, 4, 77])
+        t = enroll(img, "pwA", 12)
+        anchor = img if build is build_merged else sobel(img)
+        mat = derive_matrix(b"pwA", 6, 12)
+        with pytest.raises(ProblemError, match="password"):
+            build(anchor, t, mat, password=b"pwB")
+        t4 = enroll(img, "pwA", 4)
+        with pytest.raises(ProblemError, match="password"):
+            build(anchor, t4, derive_matrix(b"pwA", 6, 4), password=b"pwA", orthonormalize=True)
+        prob = build(anchor, t, mat, password=b"pwA")
+        assert prob.constraint_sets[0].password == b"pwA"
+
+    def test_feature_phase_password_derives_matrix(self):
+        prob = build_feature_phase(sobel(self.img), self.t, password=b"victim-pw")
+        assert np.array_equal(prob.constraint_sets[0].matrix, derive_matrix(b"victim-pw", 4, 8))
 
     def test_anchor_of_own_template_has_no_mismatch(self):
         prob = build_merged(self.img, self.t, password=b"victim-pw")
@@ -180,14 +205,16 @@ class TestBuilders:
 
     def test_multi_auth_kind(self):
         prob = build_multi_auth(self.img, self.t, password=b"attacker-pw")
-        assert prob.kind is ProblemKind.MULTI_AUTH
+        assert prob.kind is ProblemKind.SIGN
         assert prob.constraint_sets[0].m == 8
+        merged = build_merged(self.img, self.t, password=b"attacker-pw")
+        assert problem_to_json(prob) == problem_to_json(merged)
 
     def test_multi_collision_stacks_victims(self):
         t2 = enroll(self.img, "second-pw", 8)
         with pytest.warns(UserWarning):
             prob = build_multi_collision(self.img, [(self.t, b"victim-pw"), (t2, b"second-pw")])
-        assert prob.kind is ProblemKind.MULTI_COLLISION
+        assert prob.kind is ProblemKind.SIGN
         assert len(prob.constraint_sets) == 2
         assert np.array_equal(prob.constraint_sets[1].matrix, derive_matrix("second-pw", 4, 8))
 
@@ -350,6 +377,15 @@ class TestJson:
         with pytest.warns(UserWarning):
             prob = build_multi_collision(self.img, [(self.t, b"victim-pw"), (t2, b"second")])
         self._round_trip(prob)
+
+    @pytest.mark.parametrize("old_kind", ["merged", "multi_auth", "multi_collision"])
+    def test_old_kind_strings_load_as_sign(self, old_kind):
+        doc = problem_to_json(build_merged(self.img, self.t, password=b"victim-pw"))
+        assert doc["kind"] == "sign"
+        doc["kind"] = old_kind
+        back = problem_from_json(doc)
+        assert back.kind is ProblemKind.SIGN
+        assert problem_to_json(back)["kind"] == "sign"
 
     def test_doc_is_json_serializable(self):
         import json
