@@ -266,7 +266,8 @@ def _filtered_dots(q: np.ndarray, q_sliced: tuple, block: np.ndarray, vbits: int
 
 
 def _check_entries(a: np.ndarray) -> None:
-    if not (np.abs(a) < _MAX_ENTRY).all():
+    # min and max propagate NaN, which then fails both comparisons
+    if a.size and not (-_MAX_ENTRY < a.min() and a.max() < _MAX_ENTRY):
         raise SeedError("column entries must be finite and below 2**256 in magnitude")
 
 
@@ -301,6 +302,10 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     times sqrt(dot(a, a)), a being the column as it entered (a zero
     column always is).  ``regenerate``, when given, is called to supply a
     fresh column in its place; without it the degenerate case raises.
+
+    The input is never modified.  Besides it, the call holds two n x m
+    float64 arrays at its peak: a row-major copy of the columns, worked
+    on in place, and the returned C-contiguous result.
     """
     columns = np.asarray(columns, dtype=np.float64)
     if columns.ndim != 2:
@@ -309,11 +314,18 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     if m > n:
         raise SeedError(f"cannot orthonormalize {m} columns in dimension {n}")
     _check_entries(columns)
-    # Each column becomes a contiguous row, orthogonalized and then
-    # normalized in place.  Once q_k is final it is projected out of every
-    # later row, a block of rows at a time; each row still sees q_0, q_1,
-    # ... in order, so this is the modified Gram-Schmidt defined above.
-    rows = np.array(columns.T, order="C")
+    return _orthonormalize_rows(np.array(columns.T, order="C"), regenerate)
+
+
+def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
+    """:func:`gram_schmidt` of the columns ``rows.T``, given as the rows
+    of a C-contiguous (m, n) array with checked entries, which it
+    overwrites; returns the n x m result as a new C-contiguous array."""
+    m, n = rows.shape
+    # Each column is a contiguous row, orthogonalized and then normalized
+    # in place.  Once q_k is final it is projected out of every later row,
+    # a block of rows at a time; each row still sees q_0, q_1, ... in
+    # order, so this is the modified Gram-Schmidt gram_schmidt defines.
     # The residual block is cut once per projection at _CUT_BITS, and each
     # q_k sliced once with the rest of the budget; columns longer than
     # 2**15 get a lower cut, so that q_k's slices keep 8 bits.
@@ -363,21 +375,34 @@ def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = 
     With ``orthonormalize`` the columns are passed through
     :func:`gram_schmidt` afterwards; a linearly dependent column (never
     seen in practice) is replaced by further draws from the same stream.
+
+    At its peak a plain derivation holds one n x m float64 array and an
+    orthonormalized one two (about 42 MB at n = 112 * 92, m = 256): the
+    stream fills the columns as the rows of an (m, n) array, which is
+    orthonormalized in place and then transposed into the result.
     """
     if n < 1 or m < 1:
         raise SeedError(f"matrix dims must be positive, got {n}x{m}")
     if orthonormalize and m > n:
         raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
     stream = SplitMix64(derive_seed(password))
-    cols = np.empty((n, m), dtype=np.float64)
+    # Row j of rows is column j of the matrix, so the stream's column-major
+    # order is rows' row-major order.  Orthonormalization works on rows
+    # itself, C-contiguous, so that each block is one contiguous write; a
+    # plain matrix is filled through rows = out.T.
+    if orthonormalize:
+        rows = np.empty((m, n), dtype=np.float64)
+    else:
+        out = np.empty((n, m), dtype=np.float64)
+        rows = out.T
     per_block = max(1, _DRAW_BLOCK // n)
     for j in range(0, m, per_block):
         k = min(per_block, m - j)
-        cols[:, j : j + k] = stream.fill_column(k * n).reshape(k, n).T
+        rows[j : j + k] = stream.fill_column(k * n).reshape(k, n)
     if orthonormalize:
-        cols = gram_schmidt(cols, regenerate=lambda: stream.fill_column(n))
-    cols.flags.writeable = False
-    return cols
+        out = _orthonormalize_rows(rows, regenerate=lambda: stream.fill_column(n))
+    out.flags.writeable = False
+    return out
 
 
 def matrix_digest(matrix: np.ndarray) -> int:

@@ -37,7 +37,17 @@ DEFAULT_MARGIN_SCALE = 1e-6
 #: exhaustive enumeration to local search.
 _EXHAUSTIVE_BITS = 24
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+
+def _popcount_table(bits: int) -> np.ndarray:
+    """Set-bit counts of 0 .. 2**bits - 1: the numbers in [2**k, 2**(k+1))
+    are those below 2**k with bit k added."""
+    table = np.zeros(1 << bits, dtype=np.uint8)
+    for k in range(bits):
+        table[1 << k : 2 << k] = table[: 1 << k] + 1
+    return table
+
+
+_POPCOUNT16 = _popcount_table(16)
 
 
 class ProblemError(ValueError):

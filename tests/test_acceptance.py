@@ -9,6 +9,7 @@ quadruple-loop convolution, ball-bounded exhaustive image search,
 import time
 
 import numpy as np
+import pytest
 from conftest import record
 
 from biopreimage import (
@@ -119,12 +120,14 @@ def _merged_batch(side, trials, seed0, time_limit=150.0):
     return certified, distances
 
 
+@pytest.mark.slow
 def test_criterion_2_preimage_2x2():
     certified, _ = _merged_batch(2, 50, seed0=200)
     ok = certified >= 45
     report(2, "2x2/20 preimage", ok, f"{certified}/50 certified (need >= 45)")
 
 
+@pytest.mark.slow
 def test_criterion_3_preimage_3x3():
     certified, distances = _merged_batch(3, 20, seed0=300)
     mean_d = float(np.mean(distances)) if distances else float("nan")
@@ -253,6 +256,7 @@ def test_criterion_4_desk_scale_optimality():
 # 5. Multi-collision: one image satisfying two victims at once
 
 
+@pytest.mark.slow
 def test_criterion_5_multi_collision():
     rng = np.random.default_rng(500)
     both = 0
@@ -276,6 +280,7 @@ def test_criterion_5_multi_collision():
 # 6. Multi-auth: center of two templates at distance 2*epsilon
 
 
+@pytest.mark.slow
 def test_criterion_6_multi_auth():
     rng = np.random.default_rng(600)
     eps = 3

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,9 @@ class TestGramSchmidt:
         mat = derive_matrix(password, 10304, 256, orthonormalize=True)
         assert hashlib.sha256(mat.tobytes()).hexdigest() == digest
 
+    def test_no_columns(self):
+        assert gram_schmidt(np.empty((3, 0))).shape == (3, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**256])
     def test_non_finite_or_oversized_entries_raise(self, bad):
         cols = np.eye(4, 2)
@@ -353,6 +357,23 @@ class TestBlockStream:
         block, scalar = SplitMix64(seed), SplitMix64(seed)
         assert block.next_u64s(8).tolist() == [scalar.next_u64() for _ in range(8)]
         assert block.state == scalar.state
+
+    @pytest.mark.parametrize(
+        "n, m", [(1000, 70), (_DRAW_BLOCK + 3, 2)], ids=["partial-last-block", "column-over-block"]
+    )
+    def test_orthonormalized_is_gram_schmidt_of_plain(self, n, m):
+        want = gram_schmidt(derive_matrix("block-pw", n, m))
+        assert _same_bits(derive_matrix("block-pw", n, m, orthonormalize=True), want)
+
+    def test_orthonormalized_peak_memory(self):
+        # the filled rows and the transposed result, plus one draw block
+        tracemalloc.start()
+        try:
+            mat = derive_matrix("pw", 4096, 64, orthonormalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * mat.nbytes
 
     @pytest.mark.parametrize("n, m, ortho", [(_DRAW_BLOCK + 3, 2, False), (1000, 70, False), (40, 6, True)])
     def test_result_c_contiguous_and_read_only(self, n, m, ortho):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from biopreimage import problems
 from biopreimage import (
     AttackProblem,
     GrayImage,
@@ -300,6 +301,9 @@ class TestHammingCenter:
             hamming_center(
                 [Template.from_bitstring("10"), Template.from_bitstring("101")], 1
             )
+
+    def test_popcount_table_counts_set_bits(self):
+        assert problems._POPCOUNT16.tolist() == [bin(i).count("1") for i in range(1 << 16)]
 
 
 class TestCapacityAnalysis:
