@@ -36,6 +36,8 @@ DEFAULT_MARGIN_SCALE = 1e-6
 #: Support size above which the Hamming-center search falls back from
 #: exhaustive enumeration to local search.
 _EXHAUSTIVE_BITS = 24
+#: Candidate centers scored per block of the exhaustive search.
+_CENTER_BLOCK = 1 << 16
 
 
 def _popcount_table(bits: int) -> np.ndarray:
@@ -144,6 +146,23 @@ class AttackProblem:
                 raise ProblemError(f"{label} entries must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # Each kind's solver reads exactly these fields: a missing one
+        # would fail mid-solve, a stray one would be silently ignored.
+        if self.kind is ProblemKind.FEATURE_PHASE:
+            if self.anchor_feature is None:
+                raise ProblemError("feature phase needs an anchor feature")
+        elif self.anchor_image is None:
+            raise ProblemError(f"{self.kind.value} problem needs an anchor image")
+        elif (self.anchor_image.height, self.anchor_image.width) != (self.height, self.width):
+            raise ProblemError(
+                f"anchor image is {self.anchor_image.height}x{self.anchor_image.width}, "
+                f"problem is {self.height}x{self.width}"
+            )
+        if self.kind is ProblemKind.IMAGE_PHASE:
+            if self.constraint_sets:
+                raise ProblemError("image phase takes no constraint sets")
+        elif self.target_feature is not None:
+            raise ProblemError(f"{self.kind.value} problem takes no target feature")
 
     @property
     def n(self) -> int:
@@ -174,8 +193,8 @@ def _constraint_set(
 
     With only a password the n x len(template) matrix is derived here.
     A matrix given together with a password must be exactly that
-    password's derivation: the archive stores only the password, and the
-    report's certification map re-enrolls under it.
+    password's derivation: the archive stores only the password, and
+    certification projects through the stored matrix in its place.
     """
     if isinstance(password, str):
         password = password.encode("utf-8")
@@ -366,15 +385,22 @@ def _minimax_center(bits: np.ndarray) -> tuple[np.ndarray, int]:
     codes = ((bits[:, support] != base[support]).astype(np.uint64) @ weights).astype(np.uint64)
 
     if k <= _EXHAUSTIVE_BITS:
-        candidates = np.arange(1 << k, dtype=np.uint64)
-        radius = np.zeros(1 << k, dtype=np.int64)
-        for code in codes:
-            np.maximum(radius, _popcount(candidates ^ code), out=radius)
-        best = int(np.argmin(radius))
+        # Scan the 2**k candidates in blocks so memory stays bounded.  A
+        # block's winner replaces the incumbent only when strictly better,
+        # which keeps the first minimum in code order.
+        best, best_radius = 0, k + 1
+        for lo in range(0, 1 << k, _CENTER_BLOCK):
+            candidates = np.arange(lo, min(lo + _CENTER_BLOCK, 1 << k), dtype=np.uint64)
+            radius = np.zeros(candidates.size, dtype=np.int64)
+            for code in codes:
+                np.maximum(radius, _popcount(candidates ^ code), out=radius)
+            i = int(np.argmin(radius))
+            if radius[i] < best_radius:
+                best, best_radius = lo + i, int(radius[i])
         flip = np.array([(best >> int(s)) & 1 for s in range(k - 1, -1, -1)], dtype=np.uint8)
         center = base.copy()
         center[support] ^= flip
-        return center, int(radius[best])
+        return center, best_radius
 
     # Large support: majority vote start, then steepest-descent bit flips.
     ones = bits.sum(axis=0)

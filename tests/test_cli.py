@@ -9,6 +9,7 @@ from biopreimage import (
     GrayImage,
     SplitMix64,
     Template,
+    build_feature_phase,
     build_merged,
     derive_matrix,
     derive_seed,
@@ -17,6 +18,7 @@ from biopreimage import (
     matrix_digest,
     problem_to_json,
     save_pgm,
+    sobel,
 )
 from biopreimage.cli import main
 
@@ -154,6 +156,23 @@ class TestAttack:
         path.write_text(json.dumps(problem_to_json(prob)))
         rc = main(["attack", "--problem", str(path), "--time-limit", "30"])
         assert rc == 0
+
+    @pytest.mark.parametrize("edit", ["no-anchor-image", "no-anchor-feature", "stray-target-feature"])
+    def test_unsolvable_problem_json_exit_2(self, tmp_path, capsys, edit):
+        t = enroll(GOLDEN, "victim-pw", 10)
+        if edit == "no-anchor-feature":
+            doc = problem_to_json(build_feature_phase(sobel(GOLDEN), t, password=b"victim-pw"))
+            del doc["anchor_feature"]
+        else:
+            doc = problem_to_json(build_merged(GOLDEN, t, password=b"victim-pw"))
+            if edit == "no-anchor-image":
+                del doc["anchor_image"]
+            else:
+                doc["target_feature"] = [float(v) for v in sobel(GOLDEN)]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["attack", "--problem", str(path), "--time-limit", "30"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_infeasible_exit_3(self, tmp_path, capsys):
         # 1x1 image: the gradient is identically zero, every bit binarizes

@@ -1,6 +1,8 @@
 """Attack-problem construction, Hamming centers, capacity analysis,
 and archival JSON."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +140,39 @@ class TestProblemValidation:
     def test_image_phase_needs_target(self):
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.IMAGE_PHASE, 2, 2, 1.0)
+
+    @pytest.mark.parametrize("kind", [ProblemKind.SIGN, ProblemKind.IMAGE_PHASE])
+    def test_image_kinds_need_a_fitting_anchor_image(self, kind):
+        if kind is ProblemKind.SIGN:
+            fields = {"constraint_sets": (SignConstraintSet(np.ones((4, 1)), Template.from_bitstring("1")),)}
+        else:
+            fields = {"target_feature": np.zeros(4)}
+        with pytest.raises(ProblemError, match="anchor image"):
+            AttackProblem(kind, 2, 2, 1.0, **fields)
+        with pytest.raises(ProblemError, match="anchor image"):
+            AttackProblem(kind, 2, 2, 1.0, anchor_image=GrayImage.from_flat(4, 1, [0] * 4), **fields)
+
+    def test_feature_phase_needs_an_anchor_feature(self):
+        cs = SignConstraintSet(np.ones((2, 1)), Template.from_bitstring("1"))
+        with pytest.raises(ProblemError, match="anchor feature"):
+            AttackProblem(ProblemKind.FEATURE_PHASE, 1, 2, 1.0, constraint_sets=(cs,))
+
+    @pytest.mark.parametrize("build", ["merged", "feature"])
+    def test_only_image_phase_takes_a_target_feature(self, build):
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        t = enroll(img, "pw", 4)
+        if build == "merged":
+            prob = build_merged(img, t, password=b"pw")
+        else:
+            prob = build_feature_phase(sobel(img), t, password=b"pw")
+        with pytest.raises(ProblemError, match="target feature"):
+            dataclasses.replace(prob, target_feature=sobel(img))
+
+    def test_image_phase_takes_no_constraint_sets(self):
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        sets = build_merged(img, enroll(img, "pw", 4), password=b"pw").constraint_sets
+        with pytest.raises(ProblemError, match="constraint sets"):
+            dataclasses.replace(build_image_phase(img, sobel(img)), constraint_sets=sets)
 
     def test_default_margin_hand_value(self):
         mat = np.array([[3.0, 0.0], [4.0, 1.0]])  # column norms 5 and 1
@@ -301,6 +336,33 @@ class TestHammingCenter:
             hamming_center(
                 [Template.from_bitstring("10"), Template.from_bitstring("101")], 1
             )
+
+    def test_blocks_keep_the_first_minimum(self, monkeypatch):
+        # Blocks of 4 codes split every search with more than 2
+        # disagreeing bits, so ties straddle block boundaries.
+        monkeypatch.setattr(problems, "_CENTER_BLOCK", 4)
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            m = int(rng.integers(1, 9))
+            ts = [Template(rng.integers(0, 2, size=m)) for _ in range(int(rng.integers(1, 5)))]
+            want_center, want_radius = minimax_oracle(np.stack([t.bits for t in ts]))
+            res = hamming_center(ts, m)
+            assert res.radius == want_radius
+            assert np.array_equal(res.center.bits, want_center)
+
+    def test_exhaustive_search_memory_is_bounded(self):
+        # 20 disagreeing bits; scoring all 2**20 codes at once peaked near 48 MB
+        bits = np.zeros((3, 20), dtype=np.uint8)
+        bits[1, :10] = 1
+        bits[2, 6:] = 1
+        tracemalloc.start()
+        try:
+            res = hamming_center([Template(b) for b in bits], 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.radius == 8
+        assert peak < 8e6
 
     def test_popcount_table_counts_set_bits(self):
         assert problems._POPCOUNT16.tolist() == [bin(i).count("1") for i in range(1 << 16)]

@@ -38,6 +38,8 @@ from biopreimage import (
     solve_qcqp,
     solve_qp,
 )
+from biopreimage import pipeline as pipeline_module
+from biopreimage import prng as prng_module
 from biopreimage import solver as solver_module
 from biopreimage.solver import (
     ImageModel,
@@ -397,6 +399,79 @@ class TestInterfaces:
         assert doc["solution"] is None
         assert doc["objective"] is None
         json.dumps(doc)
+
+    def test_euclidean_distance_is_root_of_objective(self):
+        assert SolveReport(SolveStatus.CERTIFIED_FEASIBLE, None, 2.25, 0.0).euclidean_distance == 1.5
+        infeasible = SolveReport(SolveStatus.INFEASIBLE, None, float("inf"), 0.0)
+        assert infeasible.euclidean_distance == float("inf")
+        assert report_to_json(infeasible)["euclidean_distance"] is None
+
+
+# ---------------------------------------------------------------------------
+# Certification: one forward check through the stored matrices
+
+
+def _noise(rng, h, w):
+    return GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+
+
+class TestCertify:
+    @pytest.mark.parametrize("orthonormalize", [False, True])
+    def test_derives_no_matrix(self, monkeypatch, orthonormalize):
+        rng = np.random.default_rng(131)
+        v1, v2, other = (_noise(rng, 4, 4) for _ in range(3))
+        t1, t2 = enroll(v1, "pw-1", 6, orthonormalize), enroll(v2, "pw-2", 6, orthonormalize)
+        merged = build_merged(other, t1, password=b"pw-1", orthonormalize=orthonormalize)
+        collision = build_multi_collision(
+            other, [(t1, b"pw-1"), (t2, b"pw-2")], orthonormalize=orthonormalize
+        )
+        want = {
+            img: (enroll(img, "pw-1", 6, orthonormalize) == t1, enroll(img, "pw-2", 6, orthonormalize) == t2)
+            for img in (v1, v2, other)
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certification derived a matrix")
+
+        monkeypatch.setattr(pipeline_module, "derive_matrix", refuse)
+        monkeypatch.setattr(prng_module, "derive_matrix", refuse)
+        for img, (ok1, ok2) in want.items():
+            assert certify(img, merged) == {"0": ok1}
+            assert certify(img, collision) == {"0": ok1, "1": ok2}
+        assert want[v1][0] and want[v2][1] and not any(want[other])
+
+    def test_feature_scorer_runs_the_pipeline(self, monkeypatch):
+        rng = np.random.default_rng(137)
+        hidden, anchor = _noise(rng, 3, 4), _noise(rng, 3, 4)
+        scorer = _FeatureScorer(build_image_phase(anchor, sobel(hidden)))
+
+        def refuse(self, x):
+            raise AssertionError("certified through the solver's stencil")
+
+        monkeypatch.setattr(SobelStencil, "apply", refuse)
+        assert scorer.exact_certified(hidden.flat().astype(np.int64))
+        assert not scorer.exact_certified(anchor.flat().astype(np.int64))
+
+    @pytest.mark.parametrize("kind", ["merged", "collision", "image"])
+    def test_scorers_agree_with_certify(self, kind):
+        rng = np.random.default_rng(139)
+        h, w = 3, 4
+        victim, anchor = _noise(rng, h, w), _noise(rng, h, w)
+        if kind == "image":
+            problem = build_image_phase(anchor, sobel(victim))
+        elif kind == "merged":
+            problem = build_merged(anchor, enroll(victim, "pw-0", 4), password=b"pw-0")
+        else:
+            victims = [(enroll(victim, pw, 4), pw.encode()) for pw in ("pw-0", "pw-1")]
+            problem = build_multi_collision(anchor, victims)
+        scorer = _FeatureScorer(problem) if kind == "image" else _SignScorer(problem)
+        candidates = [victim.flat()] + [rng.integers(0, 256, size=h * w) for _ in range(40)]
+        verdicts = set()
+        for pixels in candidates:
+            want = all(certify(GrayImage(w, h, pixels.reshape(h, w)), problem).values())
+            assert scorer.exact_certified(pixels.astype(np.int64)) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
