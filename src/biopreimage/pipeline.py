@@ -161,7 +161,7 @@ class Template:
         b = np.asarray(self.bits, dtype=np.uint8)
         if b.ndim != 1:
             raise PipelineError("template bits must be a flat vector")
-        if b.size and not np.isin(b, (0, 1)).all():
+        if b.size and b.max() > 1:
             raise PipelineError("template bits must be 0 or 1")
         b = b.copy()
         b.flags.writeable = False

@@ -17,7 +17,9 @@ Two engines:
   forward pass per trial point).  The rounded pass goes through a greedy
   integer repair over single-pixel moves and, on small images,
   coordinated two- and three-pixel moves, scored by (mismatched bits,
-  constraint violation, objective).  A move changes only the features
+  constraint violation, objective); from a state with neither
+  mismatches nor violation that rule reduces to one feasibility test per
+  candidate and the lowest objective.  A move changes only the features
   around its pixels, so the repair scores each candidate from those
   features alone.  The best certificate of all restarts gets a last
   repair and, on images of at most 13 pixels, a window polish that
@@ -41,8 +43,9 @@ matrix, which the builders guarantee is the password's derivation.  The
 repair scorers' exact checks call it.  In
 :func:`solve_qcqp` a certificate comes from one of three places: the
 anchor itself, checked once before any restart; the integer repair,
-which checks every move that clears all mismatches (and its starting
-rounding); and the window polish.  The continuous stage never certifies:
+which at its end checks the states it passed with no mismatched bit
+(its starting rounding included), lowest objective first, until one
+passes; and the window polish.  The continuous stage never certifies:
 its iterates reach a certificate only through the repair of their
 rounding.  All reported statuses short of certification are advisory:
 the non-convex stage cannot prove infeasibility.
@@ -787,6 +790,7 @@ class _SignScorer(_Scorer):
         # proj + delta for a 0 bit and -proj for a 1 bit.
         self.sign = np.where(want_zero, 1.0, -1.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
+        self._ones = np.ones(self.big_m.shape[1])
 
     def _terms(self, proj, out=None):
         """(mismatched bits, hinge violation) along the last axis; ``out``
@@ -811,14 +815,33 @@ class _SignScorer(_Scorer):
         mism, viol = self._terms(proj)
         return int(mism), float(viol), (s, proj)
 
-    def local_scores(self, state, feats, du, dv):
+    def _moved(self, state, feats, du, dv):
+        """Each candidate's projections, ``proj + (s_new[F] - s[F]) @ M[F]``,
+        shape (tuples, steps, bits)."""
         s, proj = state.local
         ds = self._local_sq(state, feats, du, dv)
         np.sqrt(ds, out=ds)
         ds -= s[feats][:, None, :]
         moved = ds @ self.big_m[feats]
         moved += proj
+        return moved
+
+    def local_scores(self, state, feats, du, dv):
+        moved = self._moved(state, feats, du, dv)
         return self._terms(moved, out=moved)
+
+    def clean_feasible(self, state, feats, du, dv):
+        """Whether each candidate move from a clean state (0 mismatched
+        bits, violation 0) keeps it clean: no hinge term of ``_terms`` is
+        positive.  The margin delta is positive, so such a projection lies
+        on its bit's side, and this is exactly ``mism == 0 and viol == 0``
+        of ``local_scores``.  The clipped terms are not negative, so their
+        BLAS row sum is 0 only when every one is."""
+        hinge = self._moved(state, feats, du, dv)
+        hinge *= self.sign
+        hinge += self.offset
+        np.maximum(hinge, 0.0, out=hinge)
+        return (hinge.reshape(-1, hinge.shape[-1]) @ self._ones == 0.0).reshape(hinge.shape[:-1])
 
     exact_certified = _exact_certified
 
@@ -844,10 +867,23 @@ class _FeatureScorer(_Scorer):
         resid = np.abs(u * u + v * v - self.target_sq)
         return int(np.count_nonzero(resid > _IMAGE_CERT_TOL)), float(resid.sum()), resid
 
-    def local_scores(self, state, feats, du, dv):
+    def _residuals(self, state, feats, du, dv):
+        """|u^2 + v^2 - t^2| on each candidate's footprint, shape (tuples,
+        steps, footprint)."""
         new = self._local_sq(state, feats, du, dv)
         new -= self.target_sq[feats][:, None, :]
-        np.abs(new, out=new)
+        return np.abs(new, out=new)
+
+    def clean_feasible(self, state, feats, du, dv):
+        """Whether each candidate move from a clean state (every residual
+        exactly 0) keeps it clean: no residual on its footprint is
+        nonzero.  The state's residuals are 0, so ``local_scores`` gives a
+        violation of exactly the footprint's residual sum, which is 0 only
+        when every residual is, and then 0 mismatches."""
+        return ~self._residuals(state, feats, du, dv).any(axis=-1)
+
+    def local_scores(self, state, feats, du, dv):
+        new = self._residuals(state, feats, du, dv)
         old = state.local[feats][:, None, :]
         mism = (
             state.score[0]
@@ -955,15 +991,21 @@ class _RepairState:
         self.obj = float(np.sum((self.x - self.scorer.anchor) ** 2))
         self.score = (mism, viol, self.obj)
 
+    def moves(self, steps: np.ndarray, chunk: _MoveChunk):
+        """New pixel values, shape (tuples, steps, pixels), and the
+        objective of every move of ``chunk``, shape (tuples, steps)."""
+        old = self.x[chunk.tuples]
+        vals = old[:, None, :] + steps
+        a = self.scorer.anchor[chunk.tuples]
+        obj = self.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
+        return vals, obj
+
     def candidates(self, steps: np.ndarray, chunk: _MoveChunk):
         """New pixel values, shape (tuples, steps, pixels), and the
         (mismatched bits, violation, objective) of every move of
         ``chunk``, each of shape (tuples, steps)."""
-        old = self.x[chunk.tuples]
-        vals = old[:, None, :] + steps
+        vals, obj = self.moves(steps, chunk)
         mism, viol = self.scorer.local_scores(self, chunk.feats, chunk.du, chunk.dv)
-        a = self.scorer.anchor[chunk.tuples]
-        obj = self.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
         return vals, mism, viol, obj
 
     def apply(self, chunk: _MoveChunk, t: int, step: int, vals: np.ndarray):
@@ -990,20 +1032,29 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
 
     A move changes only the features in the union of its pixels'
     footprints (at most 8 per pixel), so each candidate is scored from
-    the state and the change on those features alone.  Every
-    improvement that clears all mismatches is re-checked through the
-    exact forward pipeline.  Returns (best certified pixels or None, its
+    the state and the change on those features alone.  From a clean
+    state (0 mismatches, violation exactly 0) only a candidate that keeps
+    it clean can improve, so such a sweep asks the scorer's
+    ``clean_feasible`` test alone and takes the feasible candidate of
+    lowest objective.
+
+    Certification is lazy.  The climb logs each accepted move's pixels
+    and their old values, and the (objective, move index) of every state
+    with no mismatched bit.  At the end those states are rebuilt from the
+    final pixels by undoing the log, in (objective, move index) order,
+    and the first that passes the exact forward check is the certificate:
+    the lowest objective, earliest on ties, as checking every such state
+    on the way would give.  Returns (certified pixels or None, its
     objective, final pixels, final score).
     """
     state = _RepairState(scorer, pixels)
     groups = scorer.move_groups
-    best_cert = None
-    best_cert_obj = np.inf
+    log: list[tuple[np.ndarray, np.ndarray]] = []
+    unmismatched: list[tuple[float, int]] = []
 
     def note():
-        nonlocal best_cert, best_cert_obj
-        if state.score[0] == 0 and state.obj < best_cert_obj and scorer.exact_certified(state.x):
-            best_cert, best_cert_obj = state.x.copy(), state.obj
+        if state.score[0] == 0:
+            unmismatched.append((state.obj, len(log)))
 
     note()
     out_of_time = False
@@ -1012,18 +1063,30 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
         """Best candidate of a group as (score, chunk, tuple, step, pixel
         values); ties go to the first in tuple-major, step-minor order."""
         nonlocal out_of_time
+        clean = state.score[:2] == (0, 0.0)
         best = None
         for ch in chunks:
-            vals, mism, viol, obj = state.candidates(steps, ch)
-            sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
-            if sel.size == 0:
-                continue
-            # Lexicographic minimum of (mism, viol, obj), first on ties.
-            for key in (mism, viol, obj):
-                kv = key.ravel()[sel]
-                sel = sel[kv == kv.min()]
-            b = int(sel[0])
-            cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
+            if clean:
+                vals, obj = state.moves(steps, ch)
+                ok = ((vals >= 0) & (vals <= 255)).all(axis=2)
+                ok &= scorer.clean_feasible(state, ch.feats, ch.du, ch.dv)
+                sel = np.flatnonzero(ok)
+                if sel.size == 0:
+                    continue
+                # Lowest objective, first on ties.
+                b = int(sel[np.argmin(obj.ravel()[sel])])
+                cand = (0, 0.0, float(obj.flat[b]))
+            else:
+                vals, mism, viol, obj = state.candidates(steps, ch)
+                sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
+                if sel.size == 0:
+                    continue
+                # Lexicographic minimum of (mism, viol, obj), first on ties.
+                for key in (mism, viol, obj):
+                    kv = key.ravel()[sel]
+                    sel = sel[kv == kv.min()]
+                b = int(sel[0])
+                cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
             if best is None or cand < best[0]:
                 t, k = divmod(b, len(steps))
                 best = (cand, ch, t, k, vals[t, k])
@@ -1035,6 +1098,8 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     def take(mv) -> bool:
         if mv is None or mv[0] >= state.score:
             return False
+        moved = mv[1].tuples[mv[2]]
+        log.append((moved, state.x[moved]))
         state.apply(*mv[1:])
         note()
         return True
@@ -1050,7 +1115,13 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
         if not any(take(best_move(*group)) for group in groups[1:]):
             break
         moves += 1
-    return best_cert, best_cert_obj, state.x, state.score
+    for obj, k in sorted(unmismatched):
+        x = state.x.copy()
+        for moved, old in reversed(log[k:]):
+            x[moved] = old
+        if scorer.exact_certified(x):
+            return x, obj, state.x, state.score
+    return None, np.inf, state.x, state.score
 
 
 #: Ceiling on box points searched by the window polish.

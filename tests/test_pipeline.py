@@ -220,6 +220,16 @@ class TestTemplate:
         with pytest.raises(PipelineError):
             Template.from_bitstring("10x")
 
+    @pytest.mark.parametrize("bits", [[2], [0, 1, 255], np.array([1, 2], dtype=np.uint8)])
+    def test_rejects_values_above_one(self, bits):
+        with pytest.raises(PipelineError):
+            Template(bits)
+
+    @pytest.mark.parametrize("bits", [[], [0], [1], [1, 0, 1]])
+    def test_accepts_bits(self, bits):
+        t = Template(bits)
+        assert t.bits.dtype == np.uint8 and t.bits.tolist() == bits
+
     def test_round_trip_fuzz(self):
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -730,6 +730,230 @@ class TestFootprintScoring:
 
 
 # ---------------------------------------------------------------------------
+# Integer repair against the eager full scan
+
+
+def _eager_repair_oracle(scorer, pixels, budget):
+    """The integer repair as a full lexicographic scan of every sweep, with
+    an exact check of every state that clears all mismatches as soon as
+    it is reached (and beats the best certificate so far).  Returns what
+    ``_repair`` returns."""
+    state = _RepairState(scorer, pixels)
+    groups = scorer.move_groups
+    best_cert, best_cert_obj = None, np.inf
+
+    def note():
+        nonlocal best_cert, best_cert_obj
+        if state.score[0] == 0 and state.obj < best_cert_obj and scorer.exact_certified(state.x):
+            best_cert, best_cert_obj = state.x.copy(), state.obj
+
+    def best_move(steps, chunks):
+        best = None
+        for ch in chunks:
+            vals, mism, viol, obj = state.candidates(steps, ch)
+            sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
+            if sel.size == 0:
+                continue
+            for key in (mism, viol, obj):
+                kv = key.ravel()[sel]
+                sel = sel[kv == kv.min()]
+            b = int(sel[0])
+            cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
+            if best is None or cand < best[0]:
+                t, k = divmod(b, len(steps))
+                best = (cand, ch, t, k, vals[t, k])
+        return best
+
+    def take(mv):
+        if mv is None or mv[0] >= state.score:
+            return False
+        state.apply(*mv[1:])
+        note()
+        return True
+
+    note()
+    moves = 0
+    while moves < budget:
+        while moves < budget and take(best_move(*groups[0])):
+            moves += 1
+        if not any(take(best_move(*group)) for group in groups[1:]):
+            break
+        moves += 1
+    return best_cert, best_cert_obj, state.x, state.score
+
+
+def _repair_case(kind, seed, delta=None):
+    """A seeded problem, its scorer and starting pixels: the victim, the
+    anchor, random pixels and the victim with small and large noise.
+    ``delta`` is the sign problems' margin (default: the builders')."""
+    rng = np.random.default_rng(seed)
+    if kind == "collision":
+        # Both templates come from one image, which certifies them both.
+        victim = _noise(rng, 4, 4)
+        victims = [(enroll(victim, pw, 8), pw.encode()) for pw in ("pw-0", "pw-1")]
+        problem = build_multi_collision(_noise(rng, 4, 4), victims, delta=delta)
+    elif kind == "image":
+        victim = _noise(rng, 2, 5)
+        problem = build_image_phase(_noise(rng, 2, 5), sobel(victim))
+    elif kind == "image-row":
+        # In one row u[c] = +-2 (x[c+1] - x[c-1]) and v = 0, so the
+        # magnitudes are integers and the victim's residuals are exactly 0:
+        # a clean state.  x[0] = x[4] and x[1] = x[5], so pixels 2 and 3 can
+        # each reflect about their two neighbours (by -6) and stay clean.
+        victim = GrayImage(6, 1, np.array([[100, 96, 103, 99, 100, 96]]))
+        problem = build_image_phase(_noise(rng, 1, 6), sobel(victim))
+    else:
+        h, w, bits = {"merged-2x3": (2, 3, 20), "merged-4x6": (4, 6, 20), "merged-5x5": (5, 5, 20)}[kind]
+        victim = _noise(rng, h, w)
+        problem = build_merged(_noise(rng, h, w), enroll(victim, "pw", bits), password=b"pw", delta=delta)
+    scorer = _FeatureScorer(problem) if kind.startswith("image") else _SignScorer(problem)
+    n = problem.n
+    v = victim.flat().astype(np.int64)
+    starts = [v, problem.anchor_image.flat(), rng.integers(0, 256, size=n)]
+    starts += [np.clip(v + rng.integers(-r, r + 1, size=n), 0, 255) for r in (3, 40)]
+    return scorer, [x.astype(np.int64) for x in starts]
+
+
+def _same_repair(got, want):
+    cert, cert_obj, x, score = got
+    w_cert, w_cert_obj, w_x, w_score = want
+    assert (cert is None) == (w_cert is None)
+    if cert is not None:
+        assert np.array_equal(cert, w_cert)
+    assert cert_obj == w_cert_obj
+    assert np.array_equal(x, w_x)
+    assert score == w_score
+
+
+class _RefusingScorer(_SignScorer):
+    """A sign scorer whose exact check also refuses the pixels in
+    ``refused``."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.refused = set()
+
+    def exact_certified(self, pixels):
+        return pixels.tobytes() not in self.refused and super().exact_certified(pixels)
+
+
+class TestRepair:
+    @pytest.mark.parametrize(
+        "kind,groups",
+        [
+            ("merged-2x3", 3),
+            ("merged-4x6", 3),
+            ("merged-5x5", 2),
+            ("collision", 3),
+            ("image", 3),
+            ("image-row", 3),
+        ],
+    )
+    def test_matches_eager_oracle(self, kind, groups):
+        scorer, starts = _repair_case(kind, 151)
+        assert len(scorer.move_groups) == groups
+        clean_sweeps = []
+        feasible = scorer.clean_feasible
+
+        def counted(state, feats, du, dv):
+            clean_sweeps.append(feats.shape[0])
+            return feasible(state, feats, du, dv)
+
+        scorer.clean_feasible = counted
+        certified = 0
+        for pixels in starts:
+            for budget in (0, 3, 20):
+                got = solver_module._repair(scorer, pixels, budget, np.inf)
+                _same_repair(got, _eager_repair_oracle(scorer, pixels, budget))
+                certified += got[0] is not None
+        assert certified > 0
+        if kind != "image":
+            # the clean-state sweeps ran, not only the lexicographic scan
+            assert clean_sweeps
+
+    @pytest.mark.parametrize(
+        "seed,h,w,noise,delta",
+        [(21, 2, 3, 40, 50.0), (20, 1, 4, 30, 100.0)],
+        ids=["2x3", "1x4"],
+    )
+    def test_lazy_certificates_follow_objective_then_move_order(self, seed, h, w, noise, delta):
+        """Refusing the certificate the eager rule picks, again and again,
+        walks the states with no mismatched bit in (objective, move index)
+        order down to (None, inf).  A wide margin delta makes the climb
+        pass states with no mismatch but some violation; in these two
+        cases a move that mirrors a pixel about the anchor reaches two of
+        them at one objective."""
+        rng = np.random.default_rng(seed)
+        victim = _noise(rng, h, w)
+        problem = build_merged(_noise(rng, h, w), enroll(victim, "pw", 20), password=b"pw", delta=delta)
+        scorer = _RefusingScorer(problem)
+        pixels = np.clip(victim.flat().astype(np.int64) + rng.integers(-noise, noise + 1, size=h * w), 0, 255)
+        picks = []
+        while True:
+            got = solver_module._repair(scorer, pixels, 20, np.inf)
+            _same_repair(got, _eager_repair_oracle(scorer, pixels, 20))
+            if got[0] is None:
+                assert got[1] == np.inf
+                break
+            picks.append(got[1])
+            scorer.refused.add(got[0].tobytes())
+        assert picks == sorted(picks)
+        assert len(set(picks)) < len(picks)  # an objective tie was walked through
+
+    @pytest.mark.parametrize(
+        "kind,delta",
+        [
+            ("merged-2x3", None),
+            ("merged-2x3", 50.0),
+            ("merged-4x6", None),
+            ("merged-5x5", None),
+            ("collision", None),
+            ("image-row", None),
+        ],
+    )
+    def test_clean_feasible_is_zero_mismatch_and_zero_violation(self, kind, delta):
+        """On clean states, the clean-state test agrees with
+        ``local_scores`` on every candidate of every move group.  The
+        states are where the repair stops from each start and budget on
+        three seeded problems, which sit against the constraints (the
+        binding bits differ between the problems), and a random walk
+        over the last victim's clean neighbours.  A wide margin delta
+        puts candidates with every bit right but some violation among
+        them."""
+        states = []
+        for seed in (167, 169, 170):
+            scorer, starts = _repair_case(kind, seed, delta)
+            for pixels in starts:
+                for budget in (0, 3, 20):
+                    x = solver_module._repair(scorer, pixels, budget, np.inf)[2]
+                    states.append(_RepairState(scorer, x))
+        rng = np.random.default_rng(173)
+        walk = _RepairState(scorer, starts[0])
+        seen = set()
+        clean = 0
+        for state in states + [walk] * 6:
+            scorer = state.scorer
+            if state.score[:2] != (0, 0.0):
+                continue
+            clean += 1
+            keep = []
+            for steps, chunks in scorer.move_groups:
+                for chunk in chunks:
+                    mism, viol = scorer.local_scores(state, chunk.feats, chunk.du, chunk.dv)
+                    got = scorer.clean_feasible(state, chunk.feats, chunk.du, chunk.dv)
+                    assert np.array_equal(got, (mism == 0) & (viol == 0.0))
+                    seen.update(got.ravel().tolist())
+                    if state is walk:
+                        vals = state.x[chunk.tuples][:, None, :] + steps
+                        ok = got & ((vals >= 0) & (vals <= 255)).all(axis=2)
+                        keep += [(chunk, t, k, vals[t, k]) for t, k in np.argwhere(ok)]
+            if keep:
+                walk.apply(*keep[int(rng.integers(len(keep)))])
+        assert clean >= 6
+        assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # Window polish against a scan of the whole box
 
 
