@@ -488,7 +488,7 @@ def _random_problem(rng, h, w, bits, kind="merged"):
 
 def _al_reference(model, z, lam, mu, rho):
     """Value and gradient written out as separate forward passes through
-    the model's own operator, the formulas that evaluate() fuses."""
+    the model's own operator, the formulas that objective() fuses."""
     op, n = model.stencil, model.n
 
     def grads(x):
@@ -606,18 +606,118 @@ class TestFusedEvaluation:
         ]
         for model in models:
             for _ in range(5):
-                z = rng.uniform(0.05, 0.95, size=model.upper.size) * model.upper
+                z, other = rng.uniform(0.05, 0.95, size=(2, model.upper.size)) * model.upper
                 lam = rng.standard_normal(model.n_eq)
                 mu = np.abs(rng.standard_normal(model.n_ineq))
                 rho = float(10 ** rng.uniform(0, 4))
                 want_value, want_grad = _al_reference(model, z, lam, mu, rho)
-                value, grad_at = model.evaluate(z, lam, mu, rho)
-                grad = grad_at()
-                assert value == want_value
-                assert grad.tobytes() == want_grad.tobytes()
-                assert model.evaluate(z, lam, mu, rho, mu @ mu)[0] == want_value
+                value, gradient = model.objective(lam, mu, rho)
+                f, state = value(z)
+                assert f == want_value
+                # a later trial point leaves the kept arrays as they were
+                value(other)
+                assert gradient(state).tobytes() == want_grad.tobytes()
                 assert model.al_value(z, lam, mu, rho) == want_value
                 assert model.al_grad(z, lam, mu, rho).tobytes() == want_grad.tobytes()
+
+
+def _evaluate_oracle(model, z, lam, mu, rho, mu_sq):
+    """The augmented Lagrangian evaluated afresh at each trial point, with
+    nothing bound per round: its value at ``z`` and a function forming
+    the gradient there, in the arithmetic order the models' bound
+    ``objective`` must reproduce bit for bit."""
+    if isinstance(model, ImageModel):
+        uv = model.stencil.apply(z)
+        h = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1] - model.target_sq
+        dz = z - model.anchor
+        value = float(np.add.reduce(dz * dz) + lam @ h + 0.5 * rho * h @ h)
+
+        def image_grad():
+            w = lam + rho * h
+            return 2.0 * dz + 2.0 * model.stencil.transpose(uv, w)
+
+        return value, image_grad
+    y = z[model.n :]
+    uv = model.stencil.apply(z[: model.n])
+    h = y * y - uv[:, 0] * uv[:, 0] - uv[:, 1] * uv[:, 1]
+    g = model.rows @ y + model.offsets
+    hinge = np.maximum(0.0, mu + rho * g)
+    dx = z[: model.n] - model.anchor
+    value = float(
+        np.add.reduce(dx * dx) + lam @ h + 0.5 * rho * h @ h + (hinge @ hinge - mu_sq) / (2.0 * rho)
+    )
+
+    def merged_grad():
+        w = lam + rho * h
+        gx = 2.0 * dx - 2.0 * model.stencil.transpose(uv, w)
+        gy = 2.0 * w * y + model.rows.T @ hinge
+        return np.concatenate([gx, gy])
+
+    return value, merged_grad
+
+
+def _spg_oracle(model, z0, lam, mu, rho, max_iter, tol):
+    """The SPG inner loop on :func:`_evaluate_oracle`, every trial written
+    as ``z + step * d``, with no deadline; returns every accepted
+    iterate."""
+    z = model.project(z0)
+    mu_sq = mu @ mu
+    f, grad_at = _evaluate_oracle(model, z, lam, mu, rho, mu_sq)
+    grad = grad_at()
+    alpha = 1.0 / max(1e-10, float(np.abs(grad).max(initial=0.0)))
+    history = [f]
+    iterates = [z]
+    for _ in range(max_iter):
+        d = model.project(z - alpha * grad) - z
+        if float(np.abs(d).max(initial=0.0)) <= tol:
+            break
+        gtd = float(grad @ d)
+        step_len = 1.0
+        f_ref = max(history)
+        while True:
+            zn = z + step_len * d
+            fn, grad_at = _evaluate_oracle(model, zn, lam, mu, rho, mu_sq)
+            if fn <= f_ref + 1e-4 * step_len * gtd or step_len < 1e-12:
+                break
+            step_len *= 0.5
+        gn = grad_at()
+        s = zn - z
+        yv = gn - grad
+        sy = float(s @ yv)
+        alpha = min(1e8, max(1e-12, float(s @ s) / sy)) if sy > 1e-18 else min(1e8, 4.0 * alpha)
+        z, f, grad = zn, fn, gn
+        iterates.append(z)
+        history.append(f)
+        if len(history) > 8:
+            history.pop(0)
+    return iterates
+
+
+class TestSpgOracle:
+    @pytest.mark.parametrize("shape", [(2, 5, 20), (4, 6, 20), (16, 16, 64)])
+    @pytest.mark.parametrize("kind", ["merged", "image"])
+    def test_iterates_bitwise_equal(self, shape, kind):
+        """Every iterate of ``_spg_minimize`` equals the oracle's bit for
+        bit: k iterations of the one give the k-th iterate of the other
+        (or its last, where it stopped early), from the anchor and from a
+        random point, in rounds from the first one up to rho = 1e4 with
+        nonzero multipliers."""
+        rng = np.random.default_rng(191)
+        h, w, bits = shape
+        problem = _random_problem(rng, h, w, bits, kind)
+        model = MergedModel(problem, margin=4.0) if kind == "merged" else ImageModel(problem)
+        anchor = model.initial_point(problem.anchor_image.flat() / 255.0)
+        random_start = rng.uniform(0.0, 1.0, size=model.upper.size) * model.upper
+        rounds = [(0.0, 0.0, 10.0)] + [(1.0, 1.0, rho) for rho in (40.0, 640.0, 1e4)]
+        for lam_scale, mu_scale, rho in rounds:
+            lam = lam_scale * rng.standard_normal(model.n_eq)
+            mu = mu_scale * np.abs(rng.standard_normal(model.n_ineq))
+            for z0 in (anchor, random_start):
+                want = _spg_oracle(model, z0, lam, mu, rho, 60, 1e-12)
+                assert len(want) > 8
+                for k in (0, 1, 2, 7, 60):
+                    got = solver_module._spg_minimize(model, z0, lam, mu, rho, k, 1e-12, np.inf)
+                    assert got.tobytes() == want[min(k, len(want) - 1)].tobytes()
 
 
 def _dense_violation(problem, u, v):
@@ -687,8 +787,10 @@ class TestFootprintScoring:
             assert state.score[0] == _exact_mismatches(problem, pixels)
             for steps, chunks in scorer.move_groups:
                 for chunk in chunks:
-                    vals, mism, viol, obj = state.candidates(steps, chunk)
+                    ok, mism, viol, obj = state.candidates(steps, chunk)
                     d_mism, d_viol, d_obj = _dense_scores(scorer, state.x, steps, chunk)
+                    vals = state.x[chunk.tuples][:, None, :] + steps
+                    assert np.array_equal(ok, ((vals >= 0) & (vals <= 255)).all(axis=2))
                     assert np.array_equal(mism.ravel(), d_mism)
                     assert _close(viol.ravel(), d_viol)
                     assert _close(obj.ravel(), d_obj)
@@ -750,7 +852,13 @@ def _eager_repair_oracle(scorer, pixels, budget):
     def best_move(steps, chunks):
         best = None
         for ch in chunks:
-            vals, mism, viol, obj = state.candidates(steps, ch)
+            # Pixel values and objectives written out per candidate, not
+            # taken from _RepairState.moves.
+            old = state.x[ch.tuples]
+            vals = old[:, None, :] + steps
+            a = scorer.anchor[ch.tuples]
+            obj = state.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
+            mism, viol = scorer.local_scores(state, ch.feats, ch.du, ch.dv)
             sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
             if sel.size == 0:
                 continue
