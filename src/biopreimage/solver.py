@@ -15,10 +15,10 @@ Two engines:
   inequalities, whose margin is inflated so that the rounding lands
   inside the sign cone.  Each outer round binds its objective once
   (the models' ``objective``: a value function and a gradient function
-  with the round's multipliers, penalty and operator tables as closure
-  locals), and its inner loop, spectral projected gradient, costs one
-  forward pass per trial point and one backward pass per accepted
-  point.  The rounded pass goes through a greedy
+  with the round's multipliers, penalty and the stencil's bound methods
+  as closure locals), and its inner loop, spectral projected gradient,
+  costs one forward pass per trial point and one backward pass per
+  accepted point.  The rounded pass goes through a greedy
   integer repair over single-pixel moves and, on small images,
   coordinated two- and three-pixel moves, scored by (mismatched bits,
   constraint violation, objective); from a state with neither
@@ -280,7 +280,7 @@ class SobelStencil:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(n, 2) array whose columns are u = A1 x and v = A2 x."""
         self._x_head[...] = x
-        return self._x_pad[self.forward] @ self.weights
+        return np.dot(self._x_pad[self.forward], self.weights)
 
     def transpose(self, r: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
         """A1^T r[:, 0] + A2^T r[:, 1] for an (n, 2) array r, with each row
@@ -289,25 +289,7 @@ class SobelStencil:
             self._r_head[...] = r
         else:
             np.multiply(r, scale[:, None], out=self._r_head)
-        return self._r_flat[self._pair_index] @ self._pair_weights
-
-    def bind(self):
-        """``apply`` and ``transpose`` (with its scale) as closures over
-        the tables and buffers, for a caller that applies the stencil many
-        times: the same arithmetic without the attribute lookups.  They
-        share the instance's buffers."""
-        x_head, x_pad, forward, weights = self._x_head, self._x_pad, self.forward, self.weights
-        r_head, r_flat, pairs, pair_weights = self._r_head, self._r_flat, self._pair_index, self._pair_weights
-
-        def apply(x):
-            x_head[...] = x
-            return np.dot(x_pad[forward], weights)
-
-        def transpose(r, scale):
-            np.multiply(r, scale[:, None], out=r_head)
-            return np.dot(r_flat[pairs], pair_weights)
-
-        return apply, transpose
+        return np.dot(self._r_flat[self._pair_index], self._pair_weights)
 
     def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Operator entries (A1[f, p], A2[f, p]) for broadcast index
@@ -609,15 +591,16 @@ class MergedModel:
         (f, state)`` from one forward pass and ``gradient(state)``, which
         forms the gradient at that z from the arrays ``value`` kept.
 
-        The round's constants and the stencil's closures are bound here
-        once, so a trial point costs numpy calls only.  Products go
-        through ``np.dot``, which costs less per call than ``@`` and
-        gives the same bits on these shapes.  The x-gradient is ``2 * (dx
-        - A^T(w uv))``, bit-equal to ``2 dx - 2 A^T(w uv)`` because
-        doubling is exact."""
+        The round's constants and the stencil's ``apply`` and
+        ``transpose`` are bound here once, so a trial point costs numpy
+        calls and two method calls only.  Products (here and in the
+        stencil) go through ``np.dot``, which costs less per call than
+        ``@`` and gives the same bits on these shapes.  The x-gradient is
+        ``2 * (dx - A^T(w uv))``, bit-equal to ``2 dx - 2 A^T(w uv)``
+        because doubling is exact."""
         n, anchor, rows, offsets = self.n, self.anchor, self.rows, self.offsets
         rows_t = rows.T
-        apply, transpose = self.stencil.bind()
+        apply, transpose = self.stencil.apply, self.stencil.transpose
         mu_sq = mu @ mu
         half_rho, two_rho = 0.5 * rho, 2.0 * rho
 
@@ -686,7 +669,7 @@ class ImageModel:
         :meth:`MergedModel.objective`; there are no inequalities, and the
         gradient is ``2 * (dz + A^T(w uv))``."""
         anchor, target_sq = self.anchor, self.target_sq
-        apply, transpose = self.stencil.bind()
+        apply, transpose = self.stencil.apply, self.stencil.transpose
         half_rho = 0.5 * rho
 
         def value(z):

@@ -1,16 +1,15 @@
 """Print one digest line per solve, to show that two checkouts solve alike.
 
     python3 tools/solve_digests.py [--root DIR] [--seeds 101 301]
-        [--workloads attack-desk attack-repair attack-scale]
         [--pytest "tests/test_acceptance.py -k 'criterion_2 or criterion_3'"]
 
 Every call of ``solver.solve_qp`` and ``solver.solve_qcqp`` prints its
 status, objective, the sha256 of its solution and its certification map,
 labelled with the operation or test that made it.  The solves are those
-of the checked cycles of each named benchmark workload for each seed
-(inputs from ``perfbench/workloads.py``, which this tool only imports),
-then those of the optional pytest selection, run in this process.  The
-pytest output goes to stderr.
+of the checked cycles of attack-desk, attack-repair and attack-scale for
+each seed (inputs from ``perfbench/workloads.py``, which this tool only
+imports), then those of the optional pytest selection, run in this
+process.  The pytest output goes to stderr.
 
 ``--root`` names the checkout whose ``src/``, ``perfbench/`` and tests
 run (default: the one holding this file), so the same tool compares a
@@ -37,7 +36,7 @@ import sys
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-DEFAULT_WORKLOADS = ("attack-desk", "attack-repair", "attack-scale")
+WORKLOADS = ("attack-desk", "attack-repair", "attack-scale")
 
 
 def digest_line(label: str, report) -> str:
@@ -81,7 +80,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to run")
     parser.add_argument("--seeds", type=int, nargs="*", default=[101, 301])
-    parser.add_argument("--workloads", nargs="*", default=list(DEFAULT_WORKLOADS))
     parser.add_argument("--pytest", default="", help="pytest arguments, relative to --root")
     args = parser.parse_args(argv)
 
@@ -94,7 +92,7 @@ def main(argv=None) -> int:
     from biopreimage import solver
 
     recorder = Recorder(biopreimage, solver)
-    for name in args.workloads:
+    for name in WORKLOADS:
         for seed in args.seeds:
             workload = workloads.WORKLOADS[name](seed)
             for i in range(workload.checked_cycles):
