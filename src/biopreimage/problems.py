@@ -22,6 +22,7 @@ margin also shields the final binarization from round-off flips.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -519,29 +520,51 @@ def problem_to_json(problem: AttackProblem) -> dict:
     return doc
 
 
+def _archived(doc: dict, key: str, kinds: tuple, what: str, default=None):
+    """``doc[key]`` (``default`` when absent) if it is an instance of
+    ``kinds``.  A JSON file can hold any type in any field; reject the
+    wrong one here, not with a TypeError later or a silently coerced
+    value.  bool is an int subclass, so it passes only where listed."""
+    value = doc.get(key, default)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ProblemError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
 def problem_from_json(doc: dict) -> AttackProblem:
+    if not isinstance(doc, dict):
+        raise ProblemError(f"a problem archive is a JSON object, not {type(doc).__name__}")
     kind_value = doc.get("kind")
     try:
         kind = ProblemKind(_KIND_ALIASES.get(kind_value, kind_value))
     except (TypeError, ValueError):
         raise ProblemError(f"unknown problem kind {kind_value!r}") from None
-    height, width = int(doc["height"]), int(doc["width"])
+    height = _archived(doc, "height", (numbers.Integral,), "an integer")
+    width = _archived(doc, "width", (numbers.Integral,), "an integer")
     anchor_image = None
     if "anchor_image" in doc:
-        anchor_image = GrayImage(width, height, np.array(doc["anchor_image"], dtype=np.int64))
+        try:
+            anchor_image = GrayImage(width, height, np.asarray(doc["anchor_image"]))
+        except ValueError as exc:
+            raise ProblemError(f"anchor_image: {exc}") from None
     sets = []
-    for entry in doc.get("constraint_sets", []):
-        pw_hex = entry.get("password_hex")
-        password = bytes.fromhex(pw_hex) if pw_hex is not None else None
+    for entry in _archived(doc, "constraint_sets", (list,), "a list", []):
+        if not isinstance(entry, dict):
+            raise ProblemError(f"a constraint set is a JSON object, got {entry!r}")
+        pw_hex = _archived(entry, "password_hex", (str, type(None)), "a hex string or null")
+        try:
+            password = bytes.fromhex(pw_hex) if pw_hex is not None else None
+        except ValueError:
+            raise ProblemError(f"password_hex is not hex: {pw_hex!r}") from None
         matrix = entry["matrix"] if password is None else None
-        template = Template.from_bitstring(entry["template"])
-        ortho = bool(entry.get("orthonormalize", False))
+        template = Template.from_bitstring(_archived(entry, "template", (str,), "a bit string"))
+        ortho = _archived(entry, "orthonormalize", (bool,), "true or false", False)
         sets.append(_constraint_set(template, height * width, matrix, password, ortho))
     return AttackProblem(
         kind=kind,
         height=height,
         width=width,
-        delta=float(doc["delta"]),
+        delta=float(_archived(doc, "delta", (numbers.Real,), "a number")),
         anchor_image=anchor_image,
         anchor_feature=doc.get("anchor_feature"),
         constraint_sets=tuple(sets),

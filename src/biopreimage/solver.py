@@ -4,9 +4,9 @@ Two engines:
 
 * :func:`solve_qp` - the convex feature-phase program (closest point of
   a polyhedron).  A dual projected-gradient loop with Nesterov momentum
-  gets near the optimum, an active-set refinement lands exactly on the
-  optimal face, and a Farkas-style certificate flags infeasible sign
-  patterns.
+  reaches the optimum, a sign nudge lifts the one-bit projections that
+  float noise leaves just below zero, and a Farkas-style certificate
+  flags infeasible sign patterns.
 
 * :func:`solve_qcqp` - the non-convex image programs.  Each restart
   (the first from the anchor, later ones from perturbations of it) runs
@@ -345,62 +345,6 @@ def _qp_constraints(problem: AttackProblem) -> tuple[np.ndarray, np.ndarray]:
     return g, c
 
 
-def _active_set_polish(
-    a: np.ndarray, g: np.ndarray, c: np.ndarray, x0: np.ndarray, tol: float
-) -> np.ndarray | None:
-    """Exact projection onto the polyhedron via primal active-set steps,
-    seeded near the optimum.  Returns None if the working set cycles."""
-    n = a.size
-    slack0 = c - g @ x0
-    active = set(np.flatnonzero(slack0 <= 10 * tol + 1e-9))
-    bound = set(np.flatnonzero(x0 <= 10 * tol + 1e-9))
-    for _ in range(120):
-        act = sorted(active)
-        free = np.array(sorted(set(range(n)) - bound), dtype=np.intp)
-        x = np.zeros(n)
-        nu = np.zeros(len(act))
-        if free.size:
-            if act:
-                ga = g[np.array(act, dtype=np.intp)][:, free]
-                rhs = ga @ a[free] - c[np.array(act, dtype=np.intp)]
-                try:
-                    nu = np.linalg.lstsq(ga @ ga.T / 2.0, rhs, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    return None
-                x[free] = a[free] - ga.T @ nu / 2.0
-            else:
-                x[free] = a[free]
-        # Multipliers of the active bounds from stationarity.
-        grad = 2.0 * (x - a)
-        if act:
-            grad += g[np.array(act, dtype=np.intp)].T @ nu
-        changed = False
-        worst_drop, worst_val = None, -1e-9
-        for j, row in enumerate(act):
-            if nu[j] < worst_val:
-                worst_val, worst_drop = nu[j], ("c", row)
-        for i in sorted(bound):
-            if grad[i] < worst_val:
-                worst_val, worst_drop = grad[i], ("b", i)
-        if worst_drop is not None:
-            kind, idx = worst_drop
-            (active if kind == "c" else bound).discard(idx)
-            changed = True
-        else:
-            viol = g @ x - c
-            adds = np.flatnonzero(viol > 1e-11)
-            neg = np.flatnonzero(x < -1e-11)
-            if adds.size:
-                active.add(int(adds[np.argmax(viol[adds])]))
-                changed = True
-            if neg.size:
-                bound.update(int(i) for i in neg)
-                changed = True
-        if not changed:
-            return np.maximum(x, 0.0)
-    return None
-
-
 def _sign_score(x: np.ndarray, problem: AttackProblem) -> tuple[int, float]:
     cs = problem.constraint_sets[0]
     proj = project(x, cs.matrix)
@@ -441,7 +385,7 @@ def _nudge_onto_signs(x: np.ndarray, problem: AttackProblem, kappa: float) -> np
 def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> SolveReport:
     """Closest non-negative feature vector satisfying the sign pattern.
 
-    Dual projected gradient with momentum, then an active-set polish;
+    Dual projected gradient with momentum, then a sign nudge;
     certification re-binarizes the solution's projections.
     """
     if problem.kind is not ProblemKind.FEATURE_PHASE:
@@ -503,23 +447,11 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
                 break
 
     if status not in (SolveStatus.INFEASIBLE, SolveStatus.TIMED_OUT):
-        # Bias the zero-threshold rows a hair into their strict interior
-        # before the exact polish, so float noise cannot flip the active
-        # ones to the wrong side of the binarization threshold.
+        # The dual iterate puts the one-bit projections on the optimal
+        # face at zero only up to float noise, and one at -1e-17
+        # binarizes to 0.  The nudge lifts them to kappa, a hair inside
+        # their sign, which is what certifies most such optima.
         kappa = 1e-10 * scale
-        c_solve = np.where(c == 0.0, -kappa, c)
-        polished = _active_set_polish(a, g, c_solve, x, tol_p)
-        if polished is not None:
-            pv_new = float(np.maximum(g @ polished - c, 0.0).max(initial=0.0))
-            pv_old = float(np.maximum(g @ x - c, 0.0).max(initial=0.0))
-            obj_new = float(np.sum((polished - a) ** 2))
-            obj_old = float(np.sum((x - a) ** 2))
-            # The polish verifies KKT, which certifies optimality here;
-            # the dual iterate may be slightly infeasible, so its lower
-            # objective is no reason to reject the polished point.  Only
-            # guard against a degenerate linear solve blowing up.
-            if pv_new <= max(1e-9 * scale, pv_old) and obj_new <= 1.01 * obj_old + scale:
-                x = polished
         x = _nudge_onto_signs(x, problem, kappa)
 
     if status is SolveStatus.INFEASIBLE:
@@ -820,21 +752,25 @@ class _SignScorer(_Scorer):
         self.big_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
         want_zero = np.concatenate([cs.template.bits == 0 for cs in problem.constraint_sets])
         self.want_one = ~want_zero
-        # Hinge term of bit j: max(0, sign_j * proj_j + offset_j), i.e.
-        # proj + delta for a 0 bit and -proj for a 1 bit.
+        # Signs and offsets of the hinge terms (``_hinge``).
         self.sign = np.where(want_zero, 1.0, -1.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
         self._ones = np.ones(self.big_m.shape[1])
 
-    def _terms(self, proj, out=None):
-        """(mismatched bits, hinge violation) along the last axis; ``out``
-        may be ``proj`` itself when the caller no longer needs it."""
-        bits = proj >= 0
-        mism = np.count_nonzero(np.not_equal(bits, self.want_one, out=bits), axis=-1)
+    def _hinge(self, proj, out=None):
+        """Hinge term of each bit j, max(0, sign_j * proj_j + offset_j):
+        proj + delta for a 0 bit and -proj for a 1 bit.  ``out`` may be
+        ``proj`` itself when the caller no longer needs it."""
         hinge = np.multiply(proj, self.sign, out=out)
         hinge += self.offset
-        np.maximum(hinge, 0.0, out=hinge)
-        return mism, hinge.sum(axis=-1)
+        return np.maximum(hinge, 0.0, out=hinge)
+
+    def _terms(self, proj, out=None):
+        """(mismatched bits, hinge violation) along the last axis; ``out``
+        as for ``_hinge``."""
+        bits = proj >= 0
+        mism = np.count_nonzero(np.not_equal(bits, self.want_one, out=bits), axis=-1)
+        return mism, self._hinge(proj, out=out).sum(axis=-1)
 
     def score_batch(self, u_batch, v_batch):
         """Mismatched bits of each row of gradient fields."""
@@ -871,10 +807,8 @@ class _SignScorer(_Scorer):
         on its bit's side, and this is exactly ``mism == 0 and viol == 0``
         of ``local_scores``.  The clipped terms are not negative, so their
         BLAS row sum is 0 only when every one is."""
-        hinge = self._moved(state, feats, du, dv)
-        hinge *= self.sign
-        hinge += self.offset
-        np.maximum(hinge, 0.0, out=hinge)
+        moved = self._moved(state, feats, du, dv)
+        hinge = self._hinge(moved, out=moved)
         return (hinge.reshape(-1, hinge.shape[-1]) @ self._ones == 0.0).reshape(hinge.shape[:-1])
 
     exact_certified = _exact_certified

@@ -7,6 +7,7 @@ import pytest
 
 from biopreimage import (
     GrayImage,
+    ProblemError,
     SplitMix64,
     Template,
     build_feature_phase,
@@ -16,6 +17,7 @@ from biopreimage import (
     enroll,
     load_pgm,
     matrix_digest,
+    problem_from_json,
     problem_to_json,
     save_pgm,
     sobel,
@@ -157,7 +159,30 @@ class TestAttack:
         rc = main(["attack", "--problem", str(path), "--time-limit", "30"])
         assert rc == 0
 
-    @pytest.mark.parametrize("edit", ["no-anchor-image", "no-anchor-feature", "stray-target-feature"])
+    #: In-place edits of a merged problem's archive that leave it
+    #: unsolvable or malformed: each must exit 2, never 1 or with a
+    #: wrongly built problem.
+    MALFORMED = {
+        "no-anchor-image": lambda doc: doc.pop("anchor_image"),
+        "stray-target-feature": lambda doc: doc.update(
+            target_feature=[float(v) for v in sobel(GOLDEN)]
+        ),
+        "null-delta": lambda doc: doc.update(delta=None),
+        "null-height": lambda doc: doc.update(height=None),
+        "bool-height": lambda doc: doc.update(height=True),
+        "float-width": lambda doc: doc.update(width=float(doc["width"])),
+        "null-anchor-image": lambda doc: doc.update(anchor_image=None),
+        "int-constraint-sets": lambda doc: doc.update(constraint_sets=5),
+        "string-constraint-set": lambda doc: doc["constraint_sets"].append("0110"),
+        "int-template": lambda doc: doc["constraint_sets"][0].update(template=5),
+        "int-password-hex": lambda doc: doc["constraint_sets"][0].update(password_hex=5),
+        # bool("false") is True: a coercing reader derives an orthonormalized matrix
+        "string-orthonormalize": lambda doc: doc["constraint_sets"][0].update(
+            orthonormalize="false"
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", ["no-anchor-feature", "list-document", *MALFORMED])
     def test_unsolvable_problem_json_exit_2(self, tmp_path, capsys, edit):
         t = enroll(GOLDEN, "victim-pw", 10)
         if edit == "no-anchor-feature":
@@ -165,10 +190,12 @@ class TestAttack:
             del doc["anchor_feature"]
         else:
             doc = problem_to_json(build_merged(GOLDEN, t, password=b"victim-pw"))
-            if edit == "no-anchor-image":
-                del doc["anchor_image"]
+            if edit == "list-document":
+                doc = [doc]
             else:
-                doc["target_feature"] = [float(v) for v in sobel(GOLDEN)]
+                self.MALFORMED[edit](doc)
+        with pytest.raises(ProblemError):
+            problem_from_json(doc)
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         assert main(["attack", "--problem", str(path), "--time-limit", "30"]) == 2

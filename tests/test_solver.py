@@ -3,7 +3,7 @@
 The feature-phase oracle is Dykstra's alternating projection onto the
 constraint halfspaces and the non-negative orthant; it converges to the
 exact projection of the anchor onto the feasible polyhedron, providing
-an independent check of the dual ascent + active-set path.
+an independent check of the dual ascent + sign nudge path.
 """
 
 import hashlib
@@ -129,15 +129,36 @@ class TestFeatureQp:
         # a delta-sized correction but nothing larger
         assert rep.objective <= (prob.delta * 3) ** 2
 
-    def test_matches_dykstra_oracle(self):
+    @pytest.mark.parametrize("n, m", [(6, 4), (40, 16), (64, 32)])
+    def test_matches_dykstra_oracle(self, n, m):
         rng = np.random.default_rng(47)
         for _ in range(8):
-            prob = feasible_feature_instance(rng, 6, 4)
+            prob = feasible_feature_instance(rng, n, m)
             rep = solve_qp(prob)
             assert rep.status is SolveStatus.CERTIFIED_FEASIBLE
             want = dykstra_project(prob.anchor_feature, qp_halfspaces(prob))
             want_obj = float(np.sum((want - prob.anchor_feature) ** 2))
             assert rep.objective == pytest.approx(want_obj, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("orthonormalize", [False, True], ids=["plain", "ortho"])
+    @pytest.mark.parametrize("h, w, m", [(8, 8, 16), (16, 16, 64)])
+    def test_certifies_sobel_features_of_noise(self, h, w, m, orthonormalize):
+        # The attack's own inputs: Sobel magnitudes of an anchor image
+        # against a victim's template.  Many of these optima leave some
+        # one-bit projections a rounding error below zero, so without the
+        # sign nudge they fail to certify.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            victim = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+            anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+            pw = f"victim-{seed}".encode()
+            template = enroll(victim, pw, m, orthonormalize)
+            prob = build_feature_phase(
+                sobel(anchor), template, password=pw, orthonormalize=orthonormalize
+            )
+            rep = solve_qp(prob)
+            assert rep.status is SolveStatus.CERTIFIED_FEASIBLE, seed
+            assert binarize(project(rep.solution, prob.constraint_sets[0].matrix)) == template
 
     def test_certified_solution_reproduces_template(self):
         rng = np.random.default_rng(53)
