@@ -716,7 +716,7 @@ class _Scorer:
         self.anchor = problem.anchor_image.flat().astype(np.float64)
 
     @property
-    def move_groups(self) -> tuple[tuple[np.ndarray, tuple[_MoveChunk, ...]], ...]:
+    def move_groups(self) -> tuple[_MoveGroup, ...]:
         return _move_groups(self.problem.height, self.problem.width)
 
     def _local_sq(self, state, feats, du, dv) -> np.ndarray:
@@ -874,7 +874,8 @@ _TRIPLE_STEPS = np.array(
 #: pixels the respective stage is skipped.
 _PAIR_MOVE_LIMIT = 64
 _TRIPLE_MOVE_LIMIT = 24
-#: Candidates (pixel tuples x steps) per chunk of a move group's tables.
+#: Candidates (pixel tuples x steps) the repair scores at once: it takes a
+#: move group in slices of ``_MOVE_CHUNK // len(steps)`` tuples.
 _MOVE_CHUNK = 8_192
 
 
@@ -887,12 +888,15 @@ def _pixel_footprints(stencil: SobelStencil) -> np.ndarray:
     return out[:, : int((out < stencil.n).sum(axis=1).max(initial=0))]
 
 
-class _MoveChunk:
-    """Pixel tuples of one chunk, with the union footprint ``feats`` of each
+class _MoveGroup:
+    """One kind of move (single, pair or triple): every pixel tuple, the
+    steps each tuple can take, the union footprint ``feats`` of each tuple
     (padded with feature 0 where ``valid`` is False) and the exact change
     ``du``/``dv`` of u and v on it for every step, shape (tuples, steps,
-    footprint).  Padding slots change nothing.  All arrays are read-only:
-    back-to-back solves of one image shape share the chunks."""
+    footprint).  The footprint axis is padded to the group's widest, and
+    padding slots change nothing, so (tuple, step) indexes any candidate of
+    the group.  All arrays are read-only: back-to-back solves of one image
+    shape share the groups."""
 
     def __init__(self, stencil, footprints, tuples, steps):
         n = stencil.n
@@ -903,6 +907,7 @@ class _MoveChunk:
         feats.sort(axis=1)
         feats = feats[:, : int((feats < n).sum(axis=1).max(initial=0))]
         self.tuples = tuples
+        self.steps = steps
         self.valid = feats < n
         self.feats = np.where(self.valid, feats, 0)
         # Operator entries (feature, pixel), shape (tuples, pixels,
@@ -913,34 +918,26 @@ class _MoveChunk:
         # Integer steps times integer kernel entries: exact in any order.
         self.du = stepf @ entry[..., 0]
         self.dv = stepf @ entry[..., 1]
-        for a in (self.tuples, self.valid, self.feats, self.du, self.dv):
+        for a in (self.tuples, self.steps, self.valid, self.feats, self.du, self.dv):
             a.flags.writeable = False
 
 
 @lru_cache(maxsize=1)
-def _move_groups(height: int, width: int) -> tuple[tuple[np.ndarray, tuple[_MoveChunk, ...]], ...]:
-    """(shared steps, chunks) for single moves, then pair moves and triple
-    moves where the image is small enough.  They depend on the image shape
-    alone; the groups of the last shape are kept, so back-to-back solves
-    of one shape build them once.  Keeping more shapes would hold their
-    tables through every other solve and raise peak memory."""
+def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
+    """Single moves, then pair moves and triple moves where the image is
+    small enough.  They depend on the image shape alone; the groups of the
+    last shape are kept, so back-to-back solves of one shape build them
+    once.  Keeping more shapes would hold their tables through every other
+    solve and raise peak memory."""
     stencil = SobelStencil(height, width)
     n = stencil.n
     groups = [(np.arange(n)[:, None], _SINGLE_STEPS)]
-    if n <= _PAIR_MOVE_LIMIT:
+    if 2 <= n <= _PAIR_MOVE_LIMIT:
         groups.append((np.stack(np.triu_indices(n, 1), axis=1), _PAIR_STEPS))
     if 3 <= n <= _TRIPLE_MOVE_LIMIT:
         groups.append((np.array(list(itertools.combinations(range(n), 3))), _TRIPLE_STEPS))
     footprints = _pixel_footprints(stencil)
-    out = []
-    for tuples, steps in groups:
-        per = max(1, _MOVE_CHUNK // len(steps))
-        chunks = [
-            _MoveChunk(stencil, footprints, tuples[lo : lo + per].astype(np.intp), steps)
-            for lo in range(0, tuples.shape[0], per)
-        ]
-        out.append((steps, tuple(chunks)))
-    return tuple(out)
+    return tuple(_MoveGroup(stencil, footprints, tuples.astype(np.intp), steps) for tuples, steps in groups)
 
 
 class _RepairState:
@@ -959,16 +956,17 @@ class _RepairState:
         self.obj = float(np.sum((self.x - self.scorer.anchor) ** 2))
         self.score = (mism, viol, self.obj)
 
-    def moves(self, steps: np.ndarray, chunk: _MoveChunk):
-        """Whether every pixel of a move of ``chunk`` stays in 0..255, and
-        its objective, each of shape (tuples, steps).
+    def moves(self, group: _MoveGroup, sl: slice):
+        """Whether every pixel of a move of the tuples ``sl`` of ``group``
+        stays in 0..255, and its objective, each of shape (tuples, steps).
 
         A step s changes the objective by ``2 (x - a) s + s^2`` per pixel,
         a sum of integers and so exact in any order.  A tuple whose pixels
         stay in range under its step set's extremes keeps every step in
         range; only tuples near 0 or 255 are tested step by step."""
-        old = self.x[chunk.tuples]
-        slope = 2.0 * (old - self.scorer.anchor[chunk.tuples])
+        tuples, steps = group.tuples[sl], group.steps
+        old = self.x[tuples]
+        slope = 2.0 * (old - self.scorer.anchor[tuples])
         obj = self.obj + (slope @ steps.T + (steps * steps).sum(axis=1))
         ok = np.ones(obj.shape, dtype=bool)
         near = np.flatnonzero(((old + steps.min(axis=0) < 0) | (old + steps.max(axis=0) > 255)).any(axis=1))
@@ -977,21 +975,13 @@ class _RepairState:
             ok[near] = ((vals >= 0) & (vals <= 255)).all(axis=2)
         return ok, obj
 
-    def candidates(self, steps: np.ndarray, chunk: _MoveChunk):
-        """The in-range mask and the (mismatched bits, violation,
-        objective) of every move of ``chunk``, each of shape (tuples,
-        steps)."""
-        ok, obj = self.moves(steps, chunk)
-        mism, viol = self.scorer.local_scores(self, chunk.feats, chunk.du, chunk.dv)
-        return ok, mism, viol, obj
-
-    def apply(self, chunk: _MoveChunk, t: int, step: int, vals: np.ndarray):
-        """Move tuple ``t`` of ``chunk`` to ``vals`` by step ``step``.
-        Pixels and kernel entries are integers, so u and v stay exact."""
-        keep = chunk.valid[t]
-        self.x[chunk.tuples[t]] = vals
-        self.u[chunk.feats[t][keep]] += chunk.du[t, step][keep]
-        self.v[chunk.feats[t][keep]] += chunk.dv[t, step][keep]
+    def apply(self, group: _MoveGroup, t: int, step: int):
+        """Move tuple ``t`` of ``group`` by step ``step``.  Pixels and
+        kernel entries are integers, so u and v stay exact."""
+        keep = group.valid[t]
+        self.x[group.tuples[t]] += group.steps[step]
+        self.u[group.feats[t][keep]] += group.du[t, step][keep]
+        self.v[group.feats[t][keep]] += group.dv[t, step][keep]
         self._refresh()
 
 
@@ -1036,36 +1026,38 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     note()
     out_of_time = False
 
-    def best_move(steps: np.ndarray, chunks: tuple[_MoveChunk, ...]):
-        """Best candidate of a group as (score, chunk, tuple, step, pixel
-        values); ties go to the first in tuple-major, step-minor order."""
+    def best_move(group: _MoveGroup):
+        """Best candidate of a group as (score, group, tuple, step); ties
+        go to the first in tuple-major, step-minor order.  The group is
+        scored in slices of about ``_MOVE_CHUNK`` candidates, and the
+        deadline is polled after each."""
         nonlocal out_of_time
         clean = state.score[:2] == (0, 0.0)
+        per = max(1, _MOVE_CHUNK // len(group.steps))
         best = None
-        for ch in chunks:
+        for lo in range(0, group.tuples.shape[0], per):
+            sl = slice(lo, lo + per)
+            ok, obj = state.moves(group, sl)
+            local = (state, group.feats[sl], group.du[sl], group.dv[sl])
             if clean:
-                ok, obj = state.moves(steps, ch)
-                ok &= scorer.clean_feasible(state, ch.feats, ch.du, ch.dv)
-                sel = np.flatnonzero(ok)
-                if sel.size == 0:
-                    continue
-                # Lowest objective, first on ties.
-                b = int(sel[np.argmin(obj.ravel()[sel])])
-                cand = (0, 0.0, float(obj.flat[b]))
+                # Only a move that keeps the state clean can improve it.
+                ok &= scorer.clean_feasible(*local)
+                keys = (obj,)
             else:
-                ok, mism, viol, obj = state.candidates(steps, ch)
-                sel = np.flatnonzero(ok)
-                if sel.size == 0:
-                    continue
-                # Lexicographic minimum of (mism, viol, obj), first on ties.
-                for key in (mism, viol, obj):
-                    kv = key.ravel()[sel]
-                    sel = sel[kv == kv.min()]
-                b = int(sel[0])
-                cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
+                keys = (*scorer.local_scores(*local), obj)
+            sel = np.flatnonzero(ok)
+            if sel.size == 0:
+                continue
+            # Lexicographic minimum of the keys, first on ties.
+            for key in keys:
+                kv = key.ravel()[sel]
+                sel = sel[kv == kv.min()]
+            b = int(sel[0])
+            mism, viol = (0, 0.0) if clean else (int(keys[0].flat[b]), float(keys[1].flat[b]))
+            cand = (mism, viol, float(obj.flat[b]))
             if best is None or cand < best[0]:
-                t, k = divmod(b, len(steps))
-                best = (cand, ch, t, k, state.x[ch.tuples[t]] + steps[k])
+                t, k = divmod(b, len(group.steps))
+                best = (cand, group, lo + t, k)
             if time.monotonic() > deadline:
                 out_of_time = True
                 break
@@ -1074,21 +1066,22 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     def take(mv) -> bool:
         if mv is None or mv[0] >= state.score:
             return False
-        moved = mv[1].tuples[mv[2]]
+        _, group, t, k = mv
+        moved = group.tuples[t]
         log.append((moved, state.x[moved]))
-        state.apply(*mv[1:])
+        state.apply(group, t, k)
         note()
         return True
 
     moves = 0
     while moves < budget and not out_of_time:
         # Single-pixel descent until it stalls.
-        while moves < budget and not out_of_time and take(best_move(*groups[0])):
+        while moves < budget and not out_of_time and take(best_move(groups[0])):
             moves += 1
         if out_of_time:
             break
         # One accepted multi-pixel move, then back to single moves.
-        if not any(take(best_move(*group)) for group in groups[1:]):
+        if not any(take(best_move(group)) for group in groups[1:]):
             break
         moves += 1
     for obj, k in sorted(unmismatched):

@@ -42,10 +42,12 @@ from biopreimage import pipeline as pipeline_module
 from biopreimage import prng as prng_module
 from biopreimage import solver as solver_module
 from biopreimage.solver import (
+    _MOVE_CHUNK,
     ImageModel,
     MergedModel,
     SobelStencil,
     _FeatureScorer,
+    _move_groups,
     _pixel_footprints,
     _RepairState,
     _SignScorer,
@@ -751,11 +753,17 @@ def _dense_violation(problem, u, v):
     return np.array([sign_violations(np.sqrt(row), problem).sum() for row in sq])
 
 
-def _dense_scores(scorer, x, steps, chunk):
-    """Every candidate of a chunk scored the direct way: move the pixels,
-    recompute u and v over the whole image, count mismatches with
-    score_batch and write the violation out."""
-    tuples = chunk.tuples
+def _slices(group):
+    """The slices of a move group's tuples that the repair scores at once."""
+    per = max(1, _MOVE_CHUNK // len(group.steps))
+    return [slice(lo, lo + per) for lo in range(0, group.tuples.shape[0], per)]
+
+
+def _dense_scores(scorer, x, group, sl):
+    """Every candidate of the tuples ``sl`` of a move group scored the
+    direct way: move the pixels, recompute u and v over the whole image,
+    count mismatches with score_batch and write the violation out."""
+    tuples, steps = group.tuples[sl], group.steps
     cand = np.repeat(x[None, :], tuples.shape[0] * len(steps), axis=0)
     rows = np.arange(cand.shape[0])[:, None]
     cols = np.repeat(tuples, len(steps), axis=0)
@@ -806,11 +814,12 @@ class TestFootprintScoring:
         for pixels in [black] + [rng.integers(0, 256, size=problem.n) for _ in range(3)]:
             state = _RepairState(scorer, pixels)
             assert state.score[0] == _exact_mismatches(problem, pixels)
-            for steps, chunks in scorer.move_groups:
-                for chunk in chunks:
-                    ok, mism, viol, obj = state.candidates(steps, chunk)
-                    d_mism, d_viol, d_obj = _dense_scores(scorer, state.x, steps, chunk)
-                    vals = state.x[chunk.tuples][:, None, :] + steps
+            for group in scorer.move_groups:
+                for sl in _slices(group):
+                    ok, obj = state.moves(group, sl)
+                    mism, viol = scorer.local_scores(state, group.feats[sl], group.du[sl], group.dv[sl])
+                    d_mism, d_viol, d_obj = _dense_scores(scorer, state.x, group, sl)
+                    vals = state.x[group.tuples[sl]][:, None, :] + group.steps
                     assert np.array_equal(ok, ((vals >= 0) & (vals <= 255)).all(axis=2))
                     assert np.array_equal(mism.ravel(), d_mism)
                     assert _close(viol.ravel(), d_viol)
@@ -827,14 +836,45 @@ class TestFootprintScoring:
         scorer = _SignScorer(problem)
         a1, a2 = conv_operators(4, 6)
         state = _RepairState(scorer, rng.integers(20, 236, size=problem.n))
-        for steps, chunks in scorer.move_groups:
-            chunk = chunks[0]
-            t = int(rng.integers(chunk.tuples.shape[0]))
-            k = int(rng.integers(len(steps)))
-            state.apply(chunk, t, k, state.x[chunk.tuples[t]] + steps[k])
+        for group in scorer.move_groups:
+            t = int(rng.integers(group.tuples.shape[0]))
+            k = int(rng.integers(len(group.steps)))
+            want = state.x.copy()
+            want[group.tuples[t]] += group.steps[k]
+            state.apply(group, t, k)
+            assert np.array_equal(state.x, want)
             xf = state.x.astype(np.float64)
             assert np.array_equal(state.u, a1 @ xf)
             assert np.array_equal(state.v, a2 @ xf)
+
+    @pytest.mark.parametrize("h,w,groups", [(2, 5, 3), (4, 6, 3), (8, 8, 2)])
+    def test_groups_gather_any_candidate_by_index(self, h, w, groups):
+        """Random global (tuple, step) indices of each move group, some on
+        either side of a scoring slice's edge, gather the union footprint
+        of the tuple's pixels and the exact change of u and v on it that
+        the dense operators give; padding slots (past the footprint, up to
+        the group's widest) hold feature 0 and change nothing."""
+        rng = np.random.default_rng(179)
+        a1, a2 = conv_operators(h, w)
+        touched = (a1 != 0) | (a2 != 0)
+        assert len(_move_groups(h, w)) == groups
+        for group in _move_groups(h, w):
+            size, steps = group.tuples.shape[0], len(group.steps)
+            widths = touched[:, group.tuples].any(axis=2).sum(axis=0)
+            assert group.feats.shape == group.valid.shape == (size, widths.max())
+            assert group.du.shape == group.dv.shape == (size, steps, widths.max())
+            edges = [t for sl in _slices(group)[1:] for t in (sl.start - 1, sl.start)]
+            for t in [*edges, *rng.integers(size, size=20)]:
+                k = int(rng.integers(steps))
+                pixels, step = group.tuples[t], group.steps[k]
+                union = np.flatnonzero(touched[:, pixels].any(axis=1))
+                m = union.size
+                assert group.valid[t][:m].all() and not group.valid[t][m:].any()
+                assert np.array_equal(group.feats[t][:m], union)
+                assert not group.feats[t][m:].any()
+                for dense, got in ((a1, group.du), (a2, group.dv)):
+                    assert np.array_equal(got[t, k][:m], (dense[:, pixels] @ step)[union])
+                    assert not got[t, k][m:].any()
 
     def test_footprints_cover_exactly_the_changed_features(self):
         for h, w in [(1, 1), (1, 7), (7, 1), (2, 5), (3, 4)]:
@@ -870,28 +910,23 @@ def _eager_repair_oracle(scorer, pixels, budget):
         if state.score[0] == 0 and state.obj < best_cert_obj and scorer.exact_certified(state.x):
             best_cert, best_cert_obj = state.x.copy(), state.obj
 
-    def best_move(steps, chunks):
-        best = None
-        for ch in chunks:
-            # Pixel values and objectives written out per candidate, not
-            # taken from _RepairState.moves.
-            old = state.x[ch.tuples]
-            vals = old[:, None, :] + steps
-            a = scorer.anchor[ch.tuples]
-            obj = state.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
-            mism, viol = scorer.local_scores(state, ch.feats, ch.du, ch.dv)
-            sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
-            if sel.size == 0:
-                continue
-            for key in (mism, viol, obj):
-                kv = key.ravel()[sel]
-                sel = sel[kv == kv.min()]
-            b = int(sel[0])
-            cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
-            if best is None or cand < best[0]:
-                t, k = divmod(b, len(steps))
-                best = (cand, ch, t, k, vals[t, k])
-        return best
+    def best_move(group):
+        # The whole group in one scan, with pixel values and objectives
+        # written out per candidate, not taken from _RepairState.moves.
+        old = state.x[group.tuples]
+        vals = old[:, None, :] + group.steps
+        a = scorer.anchor[group.tuples]
+        obj = state.obj + ((vals - a[:, None, :]) ** 2 - ((old - a) ** 2)[:, None, :]).sum(axis=2)
+        mism, viol = scorer.local_scores(state, group.feats, group.du, group.dv)
+        sel = np.flatnonzero(((vals >= 0) & (vals <= 255)).all(axis=2))
+        if sel.size == 0:
+            return None
+        for key in (mism, viol, obj):
+            kv = key.ravel()[sel]
+            sel = sel[kv == kv.min()]
+        b = int(sel[0])
+        cand = (int(mism.flat[b]), float(viol.flat[b]), float(obj.flat[b]))
+        return (cand, group, *divmod(b, len(group.steps)))
 
     def take(mv):
         if mv is None or mv[0] >= state.score:
@@ -903,9 +938,9 @@ def _eager_repair_oracle(scorer, pixels, budget):
     note()
     moves = 0
     while moves < budget:
-        while moves < budget and take(best_move(*groups[0])):
+        while moves < budget and take(best_move(groups[0])):
             moves += 1
-        if not any(take(best_move(*group)) for group in groups[1:]):
+        if not any(take(best_move(group)) for group in groups[1:]):
             break
         moves += 1
     return best_cert, best_cert_obj, state.x, state.score
@@ -1066,16 +1101,17 @@ class TestRepair:
                 continue
             clean += 1
             keep = []
-            for steps, chunks in scorer.move_groups:
-                for chunk in chunks:
-                    mism, viol = scorer.local_scores(state, chunk.feats, chunk.du, chunk.dv)
-                    got = scorer.clean_feasible(state, chunk.feats, chunk.du, chunk.dv)
+            for group in scorer.move_groups:
+                for sl in _slices(group):
+                    local = (state, group.feats[sl], group.du[sl], group.dv[sl])
+                    mism, viol = scorer.local_scores(*local)
+                    got = scorer.clean_feasible(*local)
                     assert np.array_equal(got, (mism == 0) & (viol == 0.0))
                     seen.update(got.ravel().tolist())
                     if state is walk:
-                        vals = state.x[chunk.tuples][:, None, :] + steps
+                        vals = state.x[group.tuples[sl]][:, None, :] + group.steps
                         ok = got & ((vals >= 0) & (vals <= 255)).all(axis=2)
-                        keep += [(chunk, t, k, vals[t, k]) for t, k in np.argwhere(ok)]
+                        keep += [(group, sl.start + t, k) for t, k in np.argwhere(ok)]
             if keep:
                 walk.apply(*keep[int(rng.integers(len(keep)))])
         assert clean >= 6
