@@ -25,7 +25,10 @@ Two engines:
   mismatches nor violation that rule reduces to one feasibility test per
   candidate and the lowest objective.  A move changes only the features
   around its pixels, so the repair scores each candidate from those
-  features alone.  The best certificate of all restarts gets a last
+  features alone.  Each kind of move is one group: one read-only table
+  of its pixel tuples, steps, footprints and exact changes of u and v,
+  in which any (tuple, step) is one index.  A repair accepts at most
+  ``repair_budget`` moves.  The best certificate of all restarts gets a last
   repair and, on images of at most 13 pixels, a window polish that
   searches the whole integer box around it, split into two halves of
   the pixels whose objective and gradient shares are tabulated once and
@@ -990,16 +993,20 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     lexicographic improvement of (mismatched bits, hinge violation,
     objective).
 
-    Single-pixel moves of magnitude 1..8 run until they stall.  Then, on
-    images of at most 64 pixels, the best coordinated two-pixel move
-    (each pixel by +-1..+-3) is taken, or on images of at most 24 pixels
-    a three-pixel move (each by +-1) when no pair improves; such moves
-    walk along constraint boundaries where any lone pixel change breaks a
-    sign.  After each multi-pixel move the single moves resume.
+    The moves form groups, tried in order: single-pixel moves of
+    magnitude 1..8; on images of at most 64 pixels, coordinated two-pixel
+    moves (each pixel by +-1..+-3); on images of at most 24 pixels,
+    three-pixel moves (each by +-1).  Each accepted move is the best of
+    the first group with an improving candidate, so single moves run
+    until they stall, then one pair or triple move is taken and the
+    single moves resume; multi-pixel moves walk along constraint
+    boundaries where any lone pixel change breaks a sign.  At most
+    ``budget`` moves are accepted, multi-pixel ones included.
 
     A move changes only the features in the union of its pixels'
     footprints (at most 8 per pixel), so each candidate is scored from
-    the state and the change on those features alone.  From a clean
+    the state and the change on those features alone, read from the
+    group's tables (:class:`_MoveGroup`).  From a clean
     state (0 mismatches, violation exactly 0) only a candidate that keeps
     it clean can improve, so such a sweep asks the scorer's
     ``clean_feasible`` test alone and takes the feasible candidate of
@@ -1074,15 +1081,11 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
         return True
 
     moves = 0
-    while moves < budget and not out_of_time:
-        # Single-pixel descent until it stalls.
-        while moves < budget and not out_of_time and take(best_move(groups[0])):
-            moves += 1
-        if out_of_time:
-            break
-        # One accepted multi-pixel move, then back to single moves.
-        if not any(take(best_move(group)) for group in groups[1:]):
-            break
+    # Each move comes from the first group with an improving candidate, so
+    # single moves run until they stall, then one pair or triple move is
+    # taken and the single moves resume.  Once out of time, no further
+    # group is scanned.
+    while moves < budget and any(take(best_move(g)) for g in groups if not out_of_time):
         moves += 1
     for obj, k in sorted(unmismatched):
         x = state.x.copy()
