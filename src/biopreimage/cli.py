@@ -127,6 +127,32 @@ def _cmd_verify(args) -> int:
     return 0 if decision.accepted else 1
 
 
+def _load_victims(path: str) -> list[tuple[Template, str]]:
+    """The (template, password) pairs of a --victims file: a JSON list of
+    {"password": str, "bits": int, "template_hex": str} objects.  A file
+    can hold any type in any field; reject the wrong one here, not with a
+    TypeError mid-build."""
+    with open(path, encoding="utf-8") as fh:
+        listed = json.load(fh)
+    if not isinstance(listed, list):
+        raise ValueError(f"--victims must hold a JSON list, not {type(listed).__name__}")
+    victims = []
+    for v in listed:
+        if not isinstance(v, dict):
+            raise ValueError(f"a victim is a JSON object, got {v!r}")
+        for key, kind, what in (
+            ("password", str, "a string"),
+            ("bits", int, "an integer"),
+            ("template_hex", str, "a hex string"),
+        ):
+            value = v.get(key)
+            # bool is an int subclass.
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"victim {key} must be {what}, got {value!r}")
+        victims.append((Template.from_hex(v["template_hex"], v["bits"]), v["password"]))
+    return victims
+
+
 def _build_attack_problem(args):
     if args.problem:
         with open(args.problem, encoding="utf-8") as fh:
@@ -142,13 +168,7 @@ def _build_attack_problem(args):
     if args.kind == "multi-collision":
         if not args.victims:
             raise ValueError("--kind multi-collision needs --victims JSON file")
-        with open(args.victims, encoding="utf-8") as fh:
-            listed = json.load(fh)
-        victims = [
-            (Template.from_hex(v["template_hex"], v["bits"]), v["password"])
-            for v in listed
-        ]
-        return build_multi_collision(anchor, victims, args.delta, args.orthonormalize)
+        return build_multi_collision(anchor, _load_victims(args.victims), args.delta, args.orthonormalize)
     if not args.password or args.bits is None or not args.template:
         raise ValueError(f"--kind {args.kind} needs --password, --bits and --template")
     template = Template.from_hex(args.template, args.bits)

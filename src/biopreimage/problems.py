@@ -531,6 +531,18 @@ def _archived(doc: dict, key: str, kinds: tuple, what: str, default=None):
     return value
 
 
+def _archived_feature(doc: dict, key: str) -> list | None:
+    """``doc[key]`` if it is absent, null or a list of numbers.  numpy
+    would read bools as 0 and 1 and fail on strings or objects with its
+    own errors."""
+    value = _archived(doc, key, (list, type(None)), "a list of numbers or null")
+    if value is not None and not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value
+    ):
+        raise ProblemError(f"{key} must be a list of numbers, got {value!r}")
+    return value
+
+
 def problem_from_json(doc: dict) -> AttackProblem:
     if not isinstance(doc, dict):
         raise ProblemError(f"a problem archive is a JSON object, not {type(doc).__name__}")
@@ -566,9 +578,9 @@ def problem_from_json(doc: dict) -> AttackProblem:
         width=width,
         delta=float(_archived(doc, "delta", (numbers.Real,), "a number")),
         anchor_image=anchor_image,
-        anchor_feature=doc.get("anchor_feature"),
+        anchor_feature=_archived_feature(doc, "anchor_feature"),
         constraint_sets=tuple(sets),
-        target_feature=doc.get("target_feature"),
+        target_feature=_archived_feature(doc, "target_feature"),
     )
 
 

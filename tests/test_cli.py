@@ -11,6 +11,7 @@ from biopreimage import (
     SplitMix64,
     Template,
     build_feature_phase,
+    build_image_phase,
     build_merged,
     derive_matrix,
     derive_seed,
@@ -182,12 +183,32 @@ class TestAttack:
         ),
     }
 
-    @pytest.mark.parametrize("edit", ["no-anchor-feature", "list-document", *MALFORMED])
+    #: The same for a feature-phase archive's anchor feature and an
+    #: image-phase archive's target feature, which must be lists of
+    #: numbers: numpy reads bools as 0 and 1.
+    FEATURE_MALFORMED = {
+        "no-anchor-feature": lambda doc: doc.pop("anchor_feature"),
+        "bool-anchor-feature": lambda doc: doc.update(anchor_feature=[v > 0 for v in doc["anchor_feature"]]),
+        "object-anchor-feature": lambda doc: doc.update(anchor_feature={"0": 1.0}),
+        "string-anchor-feature": lambda doc: doc.update(anchor_feature=["x"] * len(doc["anchor_feature"])),
+    }
+    IMAGE_MALFORMED = {
+        "bool-target-feature": lambda doc: doc.update(target_feature=[v > 0 for v in doc["target_feature"]]),
+        "object-target-feature": lambda doc: doc.update(target_feature={"0": 1.0}),
+        "string-target-feature": lambda doc: doc.update(target_feature=["x"] * len(doc["target_feature"])),
+    }
+
+    @pytest.mark.parametrize(
+        "edit", ["list-document", *MALFORMED, *FEATURE_MALFORMED, *IMAGE_MALFORMED]
+    )
     def test_unsolvable_problem_json_exit_2(self, tmp_path, capsys, edit):
         t = enroll(GOLDEN, "victim-pw", 10)
-        if edit == "no-anchor-feature":
+        if edit in self.FEATURE_MALFORMED:
             doc = problem_to_json(build_feature_phase(sobel(GOLDEN), t, password=b"victim-pw"))
-            del doc["anchor_feature"]
+            self.FEATURE_MALFORMED[edit](doc)
+        elif edit in self.IMAGE_MALFORMED:
+            doc = problem_to_json(build_image_phase(GOLDEN, sobel(GOLDEN)))
+            self.IMAGE_MALFORMED[edit](doc)
         else:
             doc = problem_to_json(build_merged(GOLDEN, t, password=b"victim-pw"))
             if edit == "list-document":
@@ -199,6 +220,57 @@ class TestAttack:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         assert main(["attack", "--problem", str(path), "--time-limit", "30"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def _victims(self, tmp_path, listed):
+        path = tmp_path / "victims.json"
+        path.write_text(json.dumps(listed))
+        return str(path)
+
+    def test_multi_collision_round_trip(self, golden_pgm, tmp_path, capsys):
+        # Both templates come from one image, which certifies them both.
+        victim = GrayImage.from_flat(2, 2, [120, 30, 250, 60])
+        listed = [
+            {"password": pw, "bits": 2, "template_hex": enroll(victim, pw, 2).to_hex()}
+            for pw in ("victim-a", "victim-b")
+        ]
+        out = tmp_path / "forged.pgm"
+        rc = main([
+            "attack", "--kind", "multi-collision", "--anchor", golden_pgm,
+            "--victims", self._victims(tmp_path, listed), "--solution-out", str(out),
+            "--time-limit", "30",
+        ])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["certification"] == {"0": True, "1": True}
+        forged = load_pgm(out)
+        for v in listed:
+            assert enroll(forged, v["password"], 2).to_hex() == v["template_hex"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["object-document", "int-template-hex", "string-bits", "int-password", "string-victim"],
+    )
+    def test_malformed_victims_exit_2(self, golden_pgm, tmp_path, capsys, edit):
+        listed = [
+            {"password": pw, "bits": 4, "template_hex": enroll(GOLDEN, pw, 4).to_hex()}
+            for pw in ("victim-a", "victim-b")
+        ]
+        if edit == "object-document":
+            listed = listed[0]
+        elif edit == "string-victim":
+            listed.append("victim-c")
+        else:
+            key, value = {
+                "int-template-hex": ("template_hex", 5),
+                "string-bits": ("bits", "4"),
+                "int-password": ("password", 7),
+            }[edit]
+            listed[1][key] = value
+        rc = main([
+            "attack", "--kind", "multi-collision", "--anchor", golden_pgm,
+            "--victims", self._victims(tmp_path, listed), "--time-limit", "30",
+        ])
+        assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_infeasible_exit_3(self, tmp_path, capsys):
