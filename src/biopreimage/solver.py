@@ -1073,18 +1073,14 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
     def take(mv) -> bool:
         if mv is None or mv[0] >= state.score:
             return False
-        _, group, t, k = mv
-        moved = group.tuples[t]
+        moved = mv[1].tuples[mv[2]]
         log.append((moved, state.x[moved]))
-        state.apply(group, t, k)
+        state.apply(*mv[1:])
         note()
         return True
 
     moves = 0
-    # Each move comes from the first group with an improving candidate, so
-    # single moves run until they stall, then one pair or triple move is
-    # taken and the single moves resume.  Once out of time, no further
-    # group is scanned.
+    # Once out of time, no further group is scanned.
     while moves < budget and any(take(best_move(g)) for g in groups if not out_of_time):
         moves += 1
     for obj, k in sorted(unmismatched):

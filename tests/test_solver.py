@@ -1033,9 +1033,8 @@ class TestRepair:
 
     @pytest.mark.parametrize("budget", [1, 3])
     def test_accepts_at_most_budget_moves(self, budget, monkeypatch):
-        """From the anchor of a merged 4x6/20 problem the single moves stall
-        within the budget, and no pair or triple move may follow once the
-        budget is spent."""
+        """A merged 4x6/20 repair from the anchor spends its budget on
+        single moves; no pair or triple move may follow."""
         scorer, starts = _repair_case("merged-4x6", 5)
         applied = []
         apply = _RepairState.apply

@@ -1,0 +1,73 @@
+"""Tests of tools/solve_digests.py, whose digest lines back every claim
+that a change leaves the solver's answers as they were."""
+
+import hashlib
+import importlib.util
+import os
+
+import numpy as np
+
+import biopreimage
+from biopreimage import (
+    GrayImage,
+    SolveReport,
+    SolverConfig,
+    SolveStatus,
+    build_merged,
+    enroll,
+)
+from biopreimage import solver as solver_module
+
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "solve_digests.py")
+_spec = importlib.util.spec_from_file_location("solve_digests", _TOOL)
+solve_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solve_digests)
+
+
+def _sha(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
+def test_digest_line_of_image_feature_and_no_solution():
+    image = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+    report = SolveReport(SolveStatus.CERTIFIED_FEASIBLE, image, 25.0, 1.5, {"1": True, "0": False})
+    pixels = np.array([10, 200, 35, 90], dtype=np.int64)
+    line = f'op #1 certified_feasible 25.0 {_sha(pixels)} {{"0":false,"1":true}}'
+    assert solve_digests.digest_line("op #1", report) == line
+    # the wall time is left out
+    slower = SolveReport(SolveStatus.CERTIFIED_FEASIBLE, image, 25.0, 9.0, {"0": False, "1": True})
+    assert solve_digests.digest_line("op #1", slower) == line
+
+    feature = np.array([0.5, 1.25, 3.0])
+    report = SolveReport(SolveStatus.CONTINUOUS_ONLY, feature, 0.1, 0.0, {"0": False})
+    line = f'op #2 continuous_only 0.1 {_sha(feature)} {{"0":false}}'
+    assert solve_digests.digest_line("op #2", report) == line
+
+    report = SolveReport(SolveStatus.INFEASIBLE, None, float("inf"), 0.0, {})
+    assert solve_digests.digest_line("op #3", report) == "op #3 infeasible inf - {}"
+
+
+def test_recorder_records_solves_through_the_package(monkeypatch):
+    for name in ("solve_qp", "solve_qcqp"):
+        # Registered first, so that undoing them restores the unwrapped entry points.
+        monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
+        monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    recorder = solve_digests.Recorder(biopreimage, solver_module)
+    assert biopreimage.solve_qcqp is solver_module.solve_qcqp
+
+    rng = np.random.default_rng(5)
+    victim, anchor = (GrayImage(2, 2, rng.integers(0, 256, (2, 2))) for _ in range(2))
+    problem = build_merged(anchor, enroll(victim, "pw", 4), password=b"pw")
+    config = SolverConfig(restarts=1, time_limit=30.0)
+    first = biopreimage.solve_qcqp(problem, config)
+    # Under pytest the label is the running test's name; elsewhere, the
+    # recorder's own label.
+    test_id = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
+    monkeypatch.delenv("PYTEST_CURRENT_TEST")
+    recorder.label = "desk op=0"
+    second = biopreimage.solve_qcqp(problem, config)
+    assert recorder.lines == [
+        solve_digests.digest_line(f"{test_id} #1", first),
+        solve_digests.digest_line("desk op=0 #1", second),
+    ]
+    assert recorder.lines[0] == recorder.lines[1].replace("desk op=0", test_id)
