@@ -37,6 +37,7 @@ from .pipeline import (
 from .prng import SeedError, SplitMix64, derive_matrix, derive_seed, matrix_digest
 from .problems import (
     ProblemError,
+    _archived,
     build_feature_phase,
     build_image_phase,
     build_merged,
@@ -130,8 +131,8 @@ def _cmd_verify(args) -> int:
 def _load_victims(path: str) -> list[tuple[Template, str]]:
     """The (template, password) pairs of a --victims file: a JSON list of
     {"password": str, "bits": int, "template_hex": str} objects.  A file
-    can hold any type in any field; reject the wrong one here, not with a
-    TypeError mid-build."""
+    can hold any type in any field; the archive checker rejects the wrong
+    one here, not with a TypeError mid-build."""
     with open(path, encoding="utf-8") as fh:
         listed = json.load(fh)
     if not isinstance(listed, list):
@@ -140,16 +141,10 @@ def _load_victims(path: str) -> list[tuple[Template, str]]:
     for v in listed:
         if not isinstance(v, dict):
             raise ValueError(f"a victim is a JSON object, got {v!r}")
-        for key, kind, what in (
-            ("password", str, "a string"),
-            ("bits", int, "an integer"),
-            ("template_hex", str, "a hex string"),
-        ):
-            value = v.get(key)
-            # bool is an int subclass.
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"victim {key} must be {what}, got {value!r}")
-        victims.append((Template.from_hex(v["template_hex"], v["bits"]), v["password"]))
+        password = _archived(v, "password", (str,), "a string")
+        bits = _archived(v, "bits", (int,), "an integer")
+        template = Template.from_hex(_archived(v, "template_hex", (str,), "a hex string"), bits)
+        victims.append((template, password))
     return victims
 
 

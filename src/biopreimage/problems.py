@@ -148,10 +148,15 @@ class AttackProblem:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # Each kind's solver reads exactly these fields: a missing one
-        # would fail mid-solve, a stray one would be silently ignored.
+        # would fail mid-solve, a stray one would be silently ignored, so
+        # both are rejected.
         if self.kind is ProblemKind.FEATURE_PHASE:
             if self.anchor_feature is None:
                 raise ProblemError("feature phase needs an anchor feature")
+            if self.anchor_image is not None:
+                raise ProblemError("feature phase takes no anchor image")
+        elif self.anchor_feature is not None:
+            raise ProblemError(f"{self.kind.value} problem takes no anchor feature")
         elif self.anchor_image is None:
             raise ProblemError(f"{self.kind.value} problem needs an anchor image")
         elif (self.anchor_image.height, self.anchor_image.width) != (self.height, self.width):
@@ -531,15 +536,21 @@ def _archived(doc: dict, key: str, kinds: tuple, what: str, default=None):
     return value
 
 
-def _archived_feature(doc: dict, key: str) -> list | None:
-    """``doc[key]`` if it is absent, null or a list of numbers.  numpy
-    would read bools as 0 and 1 and fail on strings or objects with its
-    own errors."""
-    value = _archived(doc, key, (list, type(None)), "a list of numbers or null")
-    if value is not None and not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value
-    ):
-        raise ProblemError(f"{key} must be a list of numbers, got {value!r}")
+def _archived_numbers(doc: dict, key: str, rows: bool = False) -> list | None:
+    """``doc[key]`` if it is absent, null or a list of numbers, or with
+    ``rows`` a list of equal-length lists of numbers.  numpy would read
+    bools as 0 and 1, ragged rows as objects, and fail on strings or
+    objects with its own errors."""
+    what = "a list of equal-length lists of numbers" if rows else "a list of numbers"
+    value = _archived(doc, key, (list, type(None)), f"{what} or null")
+    listed = [] if value is None else (value if rows else [value])
+    for row in listed:
+        if not (
+            isinstance(row, list)
+            and len(row) == len(listed[0])
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in row)
+        ):
+            raise ProblemError(f"{key} must be {what}, got {value!r}")
     return value
 
 
@@ -568,7 +579,7 @@ def problem_from_json(doc: dict) -> AttackProblem:
             password = bytes.fromhex(pw_hex) if pw_hex is not None else None
         except ValueError:
             raise ProblemError(f"password_hex is not hex: {pw_hex!r}") from None
-        matrix = entry["matrix"] if password is None else None
+        matrix = _archived_numbers(entry, "matrix", rows=True) if password is None else None
         template = Template.from_bitstring(_archived(entry, "template", (str,), "a bit string"))
         ortho = _archived(entry, "orthonormalize", (bool,), "true or false", False)
         sets.append(_constraint_set(template, height * width, matrix, password, ortho))
@@ -578,9 +589,9 @@ def problem_from_json(doc: dict) -> AttackProblem:
         width=width,
         delta=float(_archived(doc, "delta", (numbers.Real,), "a number")),
         anchor_image=anchor_image,
-        anchor_feature=_archived_feature(doc, "anchor_feature"),
+        anchor_feature=_archived_numbers(doc, "anchor_feature"),
         constraint_sets=tuple(sets),
-        target_feature=_archived_feature(doc, "target_feature"),
+        target_feature=_archived_numbers(doc, "target_feature"),
     )
 
 

@@ -285,13 +285,10 @@ class SobelStencil:
         self._x_head[...] = x
         return np.dot(self._x_pad[self.forward], self.weights)
 
-    def transpose(self, r: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-        """A1^T r[:, 0] + A2^T r[:, 1] for an (n, 2) array r, with each row
-        of r first multiplied by ``scale`` when it is given."""
-        if scale is None:
-            self._r_head[...] = r
-        else:
-            np.multiply(r, scale[:, None], out=self._r_head)
+    def transpose(self, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """A1^T (scale * r[:, 0]) + A2^T (scale * r[:, 1]) for an (n, 2)
+        array r and a length-n ``scale``."""
+        np.multiply(r, scale[:, None], out=self._r_head)
         return np.dot(self._r_flat[self._pair_index], self._pair_weights)
 
     def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -348,47 +345,28 @@ def _qp_constraints(problem: AttackProblem) -> tuple[np.ndarray, np.ndarray]:
     return g, c
 
 
-def _sign_score(x: np.ndarray, problem: AttackProblem) -> tuple[int, float]:
-    cs = problem.constraint_sets[0]
-    proj = project(x, cs.matrix)
-    wrong = int((proj[cs.zero_idx] >= 0).sum() + (proj[cs.one_idx] < 0).sum())
-    worst = max(
-        float(np.maximum(proj[cs.zero_idx], 0.0).max(initial=0.0)),
-        float(np.maximum(-proj[cs.one_idx], 0.0).max(initial=0.0)),
-    )
-    return wrong, worst
-
-
-def _nudge_onto_signs(x: np.ndarray, problem: AttackProblem, kappa: float) -> np.ndarray:
-    """Lift every non-negative-side projection sitting at or just below
-    zero to a small positive value in one joint correction; keep the
-    result only if the overall sign picture improves."""
-    cs = problem.constraint_sets[0]
+def _nudge_onto_signs(x: np.ndarray, cs: SignConstraintSet, kappa: float) -> np.ndarray | None:
+    """Lift every one-bit projection below kappa to kappa in one joint
+    least-squares correction; None when no one-bit projection is negative
+    or the least-squares solve fails."""
     mat = cs.matrix
-    best = x
-    best_score = _sign_score(x, problem)
-    cur = x
-    for _ in range(8):
-        proj = project(cur, mat)
-        if not (proj[cs.one_idx] < 0).any():
-            break
-        group = cs.one_idx[proj[cs.one_idx] < kappa]
-        cols = mat[:, group]
-        try:
-            w = np.linalg.lstsq(cols.T @ cols, kappa - proj[group], rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        cur = np.maximum(0.0, cur + cols @ w)
-        score = _sign_score(cur, problem)
-        if score < best_score:
-            best, best_score = cur, score
-    return best
+    proj = project(x, mat)
+    if not (proj[cs.one_idx] < 0).any():
+        return None
+    group = cs.one_idx[proj[cs.one_idx] < kappa]
+    cols = mat[:, group]
+    try:
+        w = np.linalg.lstsq(cols.T @ cols, kappa - proj[group], rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    return np.maximum(0.0, x + cols @ w)
 
 
 def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> SolveReport:
     """Closest non-negative feature vector satisfying the sign pattern.
 
-    Dual projected gradient with momentum, then a sign nudge;
+    Dual projected gradient with momentum, then, if its primal point
+    does not certify, one sign nudge, kept only if it certifies;
     certification re-binarizes the solution's projections.
     """
     if problem.kind is not ProblemKind.FEATURE_PHASE:
@@ -449,14 +427,6 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
                 status = SolveStatus.TIMED_OUT
                 break
 
-    if status not in (SolveStatus.INFEASIBLE, SolveStatus.TIMED_OUT):
-        # The dual iterate puts the one-bit projections on the optimal
-        # face at zero only up to float noise, and one at -1e-17
-        # binarizes to 0.  The nudge lifts them to kappa, a hair inside
-        # their sign, which is what certifies most such optima.
-        kappa = 1e-10 * scale
-        x = _nudge_onto_signs(x, problem, kappa)
-
     if status is SolveStatus.INFEASIBLE:
         return SolveReport(
             status=status,
@@ -466,6 +436,15 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
             certification={"0": False},
         )
     certified = _signs_match(x, cs)
+    if not certified and status is SolveStatus.CONTINUOUS_ONLY:
+        # The dual iterate puts the one-bit projections on the optimal
+        # face at zero only up to float noise, and one at -1e-17
+        # binarizes to 0.  The nudge lifts them to kappa, a hair inside
+        # their sign, which is what certifies most such optima; a lift
+        # that does not certify is dropped.
+        lifted = _nudge_onto_signs(x, cs, 1e-10 * scale)
+        if lifted is not None and _signs_match(lifted, cs):
+            x, certified = lifted, True
     if certified:
         status = SolveStatus.CERTIFIED_FEASIBLE
     objective = float(np.sum((x - a) ** 2))
@@ -516,15 +495,13 @@ class MergedModel:
     def project(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.lower), self.upper)
 
-    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, y = z[: self.n], z[self.n :]
-        u, v = self.stencil.apply(x).T
-        return y * y - u * u - v * v, self.rows @ y + self.offsets
-
     def objective(self, lam, mu, rho):
         """The augmented Lagrangian of one outer round, as ``value(z) ->
         (f, state)`` from one forward pass and ``gradient(state)``, which
-        forms the gradient at that z from the arrays ``value`` kept.
+        forms the gradient at that z from the arrays ``value`` kept.  The
+        state starts with the residuals h = y^2 - u^2 - v^2 of the
+        equalities and g = rows y + offsets of the inequalities, which
+        :func:`_continuous_stage` reads.
 
         The round's constants and the stencil's ``apply`` and
         ``transpose`` are bound here once, so a trial point costs numpy
@@ -544,16 +521,17 @@ class MergedModel:
             uv = apply(x)
             u, v = uv[:, 0], uv[:, 1]
             h = y * y - u * u - v * v
-            hinge = np.maximum(0.0, mu + rho * (np.dot(rows, y) + offsets))
+            g = np.dot(rows, y) + offsets
+            hinge = np.maximum(0.0, mu + rho * g)
             dx = x - anchor
             # np.add.reduce is np.sum without its Python-level dispatch,
             # which costs as much as the sum itself at desk sizes.
             f = np.add.reduce(dx * dx) + np.dot(lam, h) + np.dot(half_rho * h, h)
             f = float(f + (np.dot(hinge, hinge) - mu_sq) / two_rho)
-            return f, (y, uv, h, hinge, dx)
+            return f, (h, g, y, uv, hinge, dx)
 
         def gradient(state):
-            y, uv, h, hinge, dx = state
+            h, _, y, uv, hinge, dx = state
             w = lam + rho * h
             g = np.empty(2 * n)
             gx, gy = g[:n], g[n:]
@@ -595,27 +573,26 @@ class ImageModel:
     def project(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, 0.0), 1.0)
 
-    def residuals(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u, v = self.stencil.apply(z).T
-        return u * u + v * v - self.target_sq, np.zeros(0)
-
     def objective(self, lam, mu, rho):
         """``value`` and ``gradient`` of one outer round, as in
-        :meth:`MergedModel.objective`; there are no inequalities, and the
-        gradient is ``2 * (dz + A^T(w uv))``."""
+        :meth:`MergedModel.objective`; the state's h is u^2 + v^2 - t^2,
+        there are no inequalities (g is empty), and the gradient is
+        ``2 * (dz + A^T(w uv))``."""
         anchor, target_sq = self.anchor, self.target_sq
         apply, transpose = self.stencil.apply, self.stencil.transpose
         half_rho = 0.5 * rho
+        no_ineq = np.zeros(0)
 
         def value(z):
             uv = apply(z)
             u, v = uv[:, 0], uv[:, 1]
             h = u * u + v * v - target_sq
             dz = z - anchor
-            return float(np.add.reduce(dz * dz) + np.dot(lam, h) + np.dot(half_rho * h, h)), (uv, h, dz)
+            f = np.add.reduce(dz * dz) + np.dot(lam, h) + np.dot(half_rho * h, h)
+            return float(f), (h, no_ineq, uv, dz)
 
         def gradient(state):
-            uv, h, dz = state
+            h, _, uv, dz = state
             g = transpose(uv, lam + rho * h)
             g += dz
             g *= 2.0
@@ -637,7 +614,8 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
     ``model.objective`` binds once.  Each trial point costs one forward
     pass (``value``); the gradient is formed only at the accepted one,
     from the arrays its ``value`` kept.  The first trial is ``z + d``,
-    which ``z + 1.0 * d`` equals bit for bit."""
+    which ``z + 1.0 * d`` equals bit for bit.  Returns the last accepted
+    point and the state its ``value`` kept."""
     value, gradient = model.objective(lam, mu, rho)
     project = model.project
     z = project(z0)
@@ -672,12 +650,13 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
             history.pop(0)
         if it % 64 == 0 and time.monotonic() > deadline:
             break
-    return z
+    return z, state
 
 
 def _continuous_stage(model, z0, config, deadline):
     """Outer augmented-Lagrangian loop; returns the last iterate and the
-    smallest constraint violation of any round."""
+    smallest constraint violation of any round, read from the residuals h
+    and g in the state ``_spg_minimize`` returns with each iterate."""
     lam = np.zeros(model.n_eq)
     mu = np.zeros(model.n_ineq)
     rho = _RHO_INIT
@@ -685,8 +664,8 @@ def _continuous_stage(model, z0, config, deadline):
     best_vio = np.inf
     for _ in range(config.max_outer_iterations):
         inner_tol = max(1e-10, 1e-4 / rho)
-        z = _spg_minimize(model, z, lam, mu, rho, _INNER_ITERS, inner_tol, deadline)
-        h, g = model.residuals(z)
+        z, state = _spg_minimize(model, z, lam, mu, rho, _INNER_ITERS, inner_tol, deadline)
+        h, g = state[:2]
         vio = max(
             float(np.abs(h).max(initial=0.0)), float(np.maximum(g, 0.0).max(initial=0.0))
         )
@@ -882,15 +861,6 @@ _TRIPLE_MOVE_LIMIT = 24
 _MOVE_CHUNK = 8_192
 
 
-def _pixel_footprints(stencil: SobelStencil) -> np.ndarray:
-    """Row p lists the features whose u or v depends on pixel p, in
-    increasing order, padded with n.  Every slot of the stencil carries a
-    nonzero weight in one kernel or the other, so these are the adjoint
-    table's rows."""
-    out = np.sort(stencil.adjoint, axis=1)
-    return out[:, : int((out < stencil.n).sum(axis=1).max(initial=0))]
-
-
 class _MoveGroup:
     """One kind of move (single, pair or triple): every pixel tuple, the
     steps each tuple can take, the union footprint ``feats`` of each tuple
@@ -901,9 +871,10 @@ class _MoveGroup:
     the group.  All arrays are read-only: back-to-back solves of one image
     shape share the groups."""
 
-    def __init__(self, stencil, footprints, tuples, steps):
+    def __init__(self, stencil, tuples, steps):
         n = stencil.n
-        feats = footprints[tuples].reshape(tuples.shape[0], -1)
+        # A pixel's adjoint row lists the features it feeds, n off the image.
+        feats = stencil.adjoint[tuples].reshape(tuples.shape[0], -1)
         feats.sort(axis=1)
         # Union: repeats become padding, which the second sort moves last.
         feats[:, 1:][feats[:, 1:] == feats[:, :-1]] = n
@@ -939,8 +910,7 @@ def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
         groups.append((np.stack(np.triu_indices(n, 1), axis=1), _PAIR_STEPS))
     if 3 <= n <= _TRIPLE_MOVE_LIMIT:
         groups.append((np.array(list(itertools.combinations(range(n), 3))), _TRIPLE_STEPS))
-    footprints = _pixel_footprints(stencil)
-    return tuple(_MoveGroup(stencil, footprints, tuples.astype(np.intp), steps) for tuples, steps in groups)
+    return tuple(_MoveGroup(stencil, tuples.astype(np.intp), steps) for tuples, steps in groups)
 
 
 class _RepairState:

@@ -181,6 +181,18 @@ class TestAttack:
         "string-orthonormalize": lambda doc: doc["constraint_sets"][0].update(
             orthonormalize="false"
         ),
+        "stray-anchor-feature": lambda doc: doc.update(anchor_feature=[1.0, 2.0, 3.0, 4.0]),
+    }
+
+    #: The same for a merged archive whose matrix is inlined (no password):
+    #: it must be a list of equal-length lists of numbers.
+    MATRIX_MALFORMED = {
+        "bool-matrix": lambda doc: doc["constraint_sets"][0].update(
+            matrix=[[v > 0 for v in row] for row in doc["constraint_sets"][0]["matrix"]]
+        ),
+        "object-matrix": lambda doc: doc["constraint_sets"][0].update(matrix={"0": [1.0]}),
+        "string-entry-matrix": lambda doc: doc["constraint_sets"][0]["matrix"][2].__setitem__(3, "0.5"),
+        "ragged-matrix": lambda doc: doc["constraint_sets"][0]["matrix"][1].pop(),
     }
 
     #: The same for a feature-phase archive's anchor feature and an
@@ -191,19 +203,24 @@ class TestAttack:
         "bool-anchor-feature": lambda doc: doc.update(anchor_feature=[v > 0 for v in doc["anchor_feature"]]),
         "object-anchor-feature": lambda doc: doc.update(anchor_feature={"0": 1.0}),
         "string-anchor-feature": lambda doc: doc.update(anchor_feature=["x"] * len(doc["anchor_feature"])),
+        "stray-anchor-image": lambda doc: doc.update(anchor_image=[[0] * doc["width"]] * doc["height"]),
     }
     IMAGE_MALFORMED = {
         "bool-target-feature": lambda doc: doc.update(target_feature=[v > 0 for v in doc["target_feature"]]),
         "object-target-feature": lambda doc: doc.update(target_feature={"0": 1.0}),
         "string-target-feature": lambda doc: doc.update(target_feature=["x"] * len(doc["target_feature"])),
+        "image-stray-anchor-feature": lambda doc: doc.update(anchor_feature=[1.0, 2.0, 3.0, 4.0]),
     }
 
     @pytest.mark.parametrize(
-        "edit", ["list-document", *MALFORMED, *FEATURE_MALFORMED, *IMAGE_MALFORMED]
+        "edit", ["list-document", *MALFORMED, *MATRIX_MALFORMED, *FEATURE_MALFORMED, *IMAGE_MALFORMED]
     )
     def test_unsolvable_problem_json_exit_2(self, tmp_path, capsys, edit):
         t = enroll(GOLDEN, "victim-pw", 10)
-        if edit in self.FEATURE_MALFORMED:
+        if edit in self.MATRIX_MALFORMED:
+            doc = problem_to_json(build_merged(GOLDEN, t, matrix=derive_matrix(b"victim-pw", 4, 10)))
+            self.MATRIX_MALFORMED[edit](doc)
+        elif edit in self.FEATURE_MALFORMED:
             doc = problem_to_json(build_feature_phase(sobel(GOLDEN), t, password=b"victim-pw"))
             self.FEATURE_MALFORMED[edit](doc)
         elif edit in self.IMAGE_MALFORMED:

@@ -48,7 +48,6 @@ from biopreimage.solver import (
     SobelStencil,
     _FeatureScorer,
     _move_groups,
-    _pixel_footprints,
     _RepairState,
     _SignScorer,
     _window_polish,
@@ -519,7 +518,7 @@ def _al_reference(model, z, lam, mu, rho):
         return uv[:, 0], uv[:, 1]
 
     def adjoint(ru, rv):
-        return op.transpose(np.stack([ru, rv], axis=1))
+        return op.transpose(np.stack([ru, rv], axis=1), np.ones(n))
 
     if isinstance(model, ImageModel):
         u, v = grads(z)
@@ -578,11 +577,12 @@ class TestSobelStencil:
         for _ in range(5):
             x = rng.standard_normal(op.n)
             r = rng.standard_normal((op.n, 2))
-            lhs = float(np.sum(op.apply(x) * r))
-            rhs = float(x @ op.transpose(r))
+            scale = rng.standard_normal(op.n)
+            lhs = float(np.sum(op.apply(x) * r * scale[:, None]))
+            rhs = float(x @ op.transpose(r, scale))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
             want = a1.T @ r[:, 0] + a2.T @ r[:, 1]
-            assert np.allclose(op.transpose(r), want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(op.transpose(r, np.ones(op.n)), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
     def test_integer_images_bitwise_equal_to_dense(self, shape):
@@ -739,8 +739,12 @@ class TestSpgOracle:
                 want = _spg_oracle(model, z0, lam, mu, rho, 60, 1e-12)
                 assert len(want) > 8
                 for k in (0, 1, 2, 7, 60):
-                    got = solver_module._spg_minimize(model, z0, lam, mu, rho, k, 1e-12, np.inf)
+                    got, state = solver_module._spg_minimize(model, z0, lam, mu, rho, k, 1e-12, np.inf)
                     assert got.tobytes() == want[min(k, len(want) - 1)].tobytes()
+                    # the returned state is the one a fresh forward pass keeps
+                    fresh = model.objective(lam, mu, rho)[0](got)[1]
+                    assert len(state) == len(fresh)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(state, fresh))
 
 
 def _dense_violation(problem, u, v):
@@ -880,16 +884,18 @@ class TestFootprintScoring:
         for h, w in [(1, 1), (1, 7), (7, 1), (2, 5), (3, 4)]:
             n = h * w
             a1, a2 = conv_operators(h, w)
-            fp = _pixel_footprints(SobelStencil(h, w))
+            singles = _move_groups(h, w)[0]
+            assert np.array_equal(singles.tuples[:, 0], np.arange(n))
             counts = []
             for p in range(n):
                 touched = np.flatnonzero((a1[:, p] != 0) | (a2[:, p] != 0))
-                assert np.array_equal(fp[p][: touched.size], touched)
-                assert (fp[p][touched.size :] == n).all()
+                assert np.array_equal(singles.feats[p][: touched.size], touched)
+                assert singles.valid[p][: touched.size].all()
+                assert not singles.valid[p][touched.size :].any()
                 assert touched.size <= 8
                 counts.append(touched.size)
             # padded to the widest footprint, no wider
-            assert fp.shape == (n, max(counts))
+            assert singles.feats.shape == (n, max(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -1356,3 +1362,31 @@ def test_pinned_solver_output(kind, seed, config, status, objective, digest):
     else:
         pixels = rep.solution.flat().astype(np.uint8).tobytes()
         assert hashlib.sha256(pixels).hexdigest()[:16] == digest
+
+
+def _pinned_qp_problem(h, w, bits, orthonormalize, seed):
+    rng = np.random.default_rng(seed)
+    victim, anchor = (GrayImage(w, h, rng.integers(0, 256, (h, w))) for _ in range(2))
+    pw = f"pin-qp-{seed}"
+    template = enroll(victim, pw, bits, orthonormalize)
+    return build_feature_phase(sobel(anchor), template, password=pw.encode(), orthonormalize=orthonormalize)
+
+
+# Status, objective repr and a solution digest of default feature-phase
+# solves, recorded with numpy 2.4.6 and OpenBLAS 0.3.31.  The dual
+# iterate's primal point certifies as it is in the orthonormalized seed-0
+# row and only after the sign nudge in the other three.
+@pytest.mark.parametrize(
+    "shape,orthonormalize,seed,status,objective,digest",
+    [
+        ((8, 8, 16), False, 0, "certified_feasible", "35221.92290137678", "11899e528c4923d6"),
+        ((8, 8, 16), True, 0, "certified_feasible", "1562.5488856371937", "026b5d15a802b586"),
+        ((8, 8, 16), True, 1, "certified_feasible", "3060.565111750981", "101bd4c9a69c3f82"),
+        ((32, 32, 64), False, 0, "certified_feasible", "523839.17775203934", "32d3218b49897e7b"),
+    ],
+)
+def test_pinned_qp_output(shape, orthonormalize, seed, status, objective, digest):
+    rep = solve_qp(_pinned_qp_problem(*shape, orthonormalize, seed))
+    assert rep.status.value == status
+    assert repr(rep.objective) == objective
+    assert hashlib.sha256(rep.solution.tobytes()).hexdigest()[:16] == digest

@@ -4,8 +4,11 @@ that a change leaves the solver's answers as they were."""
 import hashlib
 import importlib.util
 import os
+import shlex
+import sys
 
 import numpy as np
+import pytest
 
 import biopreimage
 from biopreimage import (
@@ -71,3 +74,24 @@ def test_recorder_records_solves_through_the_package(monkeypatch):
         solve_digests.digest_line("desk op=0 #1", second),
     ]
     assert recorder.lines[0] == recorder.lines[1].replace("desk op=0", test_id)
+
+
+@pytest.mark.parametrize("given,selection", [(None, solve_digests.DEFAULT_PYTEST), ("", None)])
+def test_default_pytest_selection(monkeypatch, given, selection):
+    """Without --pytest the tool runs criteria 2-6 and the pinned tests;
+    --pytest "" runs none."""
+    calls = []
+    monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
+    for name in ("solve_qp", "solve_qcqp"):
+        monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
+        monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(os.getcwd())
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    argv = ["--seeds"] + ([] if given is None else ["--pytest", given])
+    assert solve_digests.main(argv) == 0
+    if selection is None:
+        assert calls == []
+    else:
+        assert calls == [shlex.split(selection) + ["-q", "-p", "no:cacheprovider"]]

@@ -1,15 +1,16 @@
 """Print one digest line per solve, to show that two checkouts solve alike.
 
-    python3 tools/solve_digests.py [--root DIR] [--seeds 101 301]
-        [--pytest "tests/test_acceptance.py -k 'criterion_2 or criterion_3'"]
+    python3 tools/solve_digests.py [--root DIR] [--seeds 101 301] [--pytest ARGS]
 
 Every call of ``solver.solve_qp`` and ``solver.solve_qcqp`` prints its
 status, objective, the sha256 of its solution and its certification map,
 labelled with the operation or test that made it.  The solves are those
 of the checked cycles of attack-desk, attack-repair and attack-scale for
 each seed (inputs from ``perfbench/workloads.py``, which this tool only
-imports), then those of the optional pytest selection, run in this
-process.  The pytest output goes to stderr.
+imports), then those of a pytest selection, run in this process.  The
+selection defaults to acceptance criteria 2-6 and the pinned solver
+tests (``DEFAULT_PYTEST``); ``--pytest ""`` runs no tests.  The pytest
+output goes to stderr.
 
 ``--root`` names the checkout whose ``src/``, ``perfbench/`` and tests
 run (default: the one holding this file), so the same tool compares a
@@ -37,6 +38,10 @@ from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("attack-desk", "attack-repair", "attack-scale")
+DEFAULT_PYTEST = (
+    "tests/test_acceptance.py tests/test_solver.py -k "
+    "'criterion_2 or criterion_3 or criterion_4 or criterion_5 or criterion_6 or pinned'"
+)
 
 
 def digest_line(label: str, report) -> str:
@@ -80,7 +85,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout to run")
     parser.add_argument("--seeds", type=int, nargs="*", default=[101, 301])
-    parser.add_argument("--pytest", default="", help="pytest arguments, relative to --root")
+    parser.add_argument(
+        "--pytest", default=DEFAULT_PYTEST, help='pytest arguments, relative to --root ("" runs none)'
+    )
     args = parser.parse_args(argv)
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
