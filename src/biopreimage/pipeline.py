@@ -10,11 +10,12 @@ as the ground-truth success check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import derive_matrix
+from .prng import _MAX_ENTRY, _MIN_GRID, _exact_dots, _slice_budget, _split, column_blocks
 
 # Horizontal / vertical gradient kernels.  Convolution below flips the
 # kernel, so the raw gradients come out negated relative to plain
@@ -223,16 +224,71 @@ def binarize(projected: np.ndarray) -> Template:
     return Template(np.where(projected < 0, 0, 1).astype(np.uint8))
 
 
+def template_bits(feature: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Template bits of a feature through matrix columns, given as the
+    rows of ``columns``: bit i is 0 where the exact dot product of the
+    feature with ``columns[i]`` is negative, 1 otherwise (an exact 0
+    maps to 1), as a uint8 array.
+
+    The BLAS product decides every bit whose value lies outside
+    err = n 2**-52 sum(|f|) max|c| + n 2**-1074, twice a rigorous bound
+    on its rounding error in any summation order, with or without fused
+    multiply-adds (the bound of ``prng._filtered_dots``).  The rest take
+    the sign of the correctly rounded dot product (``prng._exact_dots``).
+    So the bits depend neither on the BLAS build nor on its threads, and
+    not on the order or layout in which the columns come.  Entries of
+    both arrays must be finite and below 2**256 in magnitude; other
+    inputs raise :class:`PipelineError` and yield no bit.
+    """
+    feature = np.asarray(feature, dtype=np.float64)
+    columns = np.asarray(columns, dtype=np.float64)
+    if feature.ndim != 1 or columns.ndim != 2 or columns.shape[1] != feature.shape[0]:
+        raise PipelineError(
+            f"feature of length {feature.shape} incompatible with columns {columns.shape}"
+        )
+    k, n = columns.shape
+    if not columns.size:
+        return np.ones(k, dtype=np.uint8)
+    lo, hi = columns.min(), columns.max()
+    size = np.abs(feature)
+    # min and max propagate NaN, which then fails every comparison
+    if not (-_MAX_ENTRY < lo and hi < _MAX_ENTRY and size.max() < _MAX_ENTRY):
+        raise PipelineError("feature and matrix entries must be finite and below 2**256 in magnitude")
+    dots = columns @ feature
+    err = math.ldexp(n * float(size.sum()) * max(hi, -lo), -52) + n * 2.0**_MIN_GRID
+    bits = (dots >= 0).astype(np.uint8)
+    near = np.flatnonzero(np.abs(dots) <= err)
+    if near.size:
+        budget = _slice_budget(n)
+        exact = _exact_dots(*_split(feature, budget // 2), *_split(columns[near], budget - budget // 2))
+        # a negative dot too small for a double rounds to -0.0, which keeps its sign
+        bits[near] = [math.copysign(1.0, d) > 0 for d in exact]
+    return bits
+
+
 def enroll(image: GrayImage, password: bytes | str, m: int, orthonormalize: bool = False) -> Template:
     """Full pipeline: feature extraction, keyed projection, binarization.
 
-    Deterministic in (image, password, m, orthonormalize).  With
-    orthonormalization (BioHash-style matrices) m must not exceed the
-    pixel count.
+    Deterministic in (image, password, m, orthonormalize), and equal to
+    ``binarize(project(sobel(image), derive_matrix(password, image.n, m,
+    orthonormalize)))`` except where a projection lies within float
+    rounding of zero: each bit is the exact sign of its projection
+    (:func:`template_bits`), so the template does not depend on the BLAS
+    build either.  With orthonormalization (BioHash-style matrices) m
+    must not exceed the pixel count.
+
+    The matrix is never stored.  Plain columns are projected one draw
+    block at a time as the stream yields them, so a face-size enroll
+    (112x92, 256 bits) peaks near 1.5 MB; orthonormalized ones are
+    projected straight from the rows that Gram-Schmidt worked on, one
+    n x m float64 array (about 21 MB at face size).
     """
     feature = sobel(image)
-    matrix = derive_matrix(password, image.n, m, orthonormalize)
-    return binarize(project(feature, matrix))
+    blocks = column_blocks(password, image.n, m, orthonormalize)
+    bits = np.empty(m, dtype=np.uint8)
+    for j, block in blocks:
+        bits[j : j + len(block)] = template_bits(feature, block)
+    return Template(bits)
 
 
 @dataclass(frozen=True)

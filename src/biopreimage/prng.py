@@ -28,9 +28,10 @@ FNV_PRIME = 1099511628211
 #: Golden-ratio increment of the splitmix64 state.
 _GAMMA = 0x9E3779B97F4A7C15
 
-#: Stream outputs computed per numpy block by :func:`derive_matrix`: as
-#: many whole columns as fit (one column when n exceeds it).  Keeps a
-#: block's temporaries near 1.5 MB instead of growing with the matrix.
+#: Stream outputs computed per numpy block by :func:`_draw_blocks`, the
+#: draw loop of :func:`derive_matrix` and of enroll: as many whole
+#: columns as fit (one column when n exceeds it).  Keeps a block's
+#: temporaries near 1.5 MB instead of growing with the matrix.
 _DRAW_BLOCK = 1 << 16
 
 #: A column counts as linearly dependent during orthonormalization when
@@ -314,13 +315,14 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     if m > n:
         raise SeedError(f"cannot orthonormalize {m} columns in dimension {n}")
     _check_entries(columns)
-    return _orthonormalize_rows(np.array(columns.T, order="C"), regenerate)
+    return np.ascontiguousarray(_orthonormalize_rows(np.array(columns.T, order="C"), regenerate).T)
 
 
 def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
     """:func:`gram_schmidt` of the columns ``rows.T``, given as the rows
-    of a C-contiguous (m, n) array with checked entries, which it
-    overwrites; returns the n x m result as a new C-contiguous array."""
+    of a C-contiguous (m, n) array with checked entries: orthonormalizes
+    the rows in place and returns ``rows`` itself, so that the caller
+    decides whether to pay for a transposed copy."""
     m, n = rows.shape
     # Each column is a contiguous row, orthogonalized and then normalized
     # in place.  Once q_k is final it is projected out of every later row,
@@ -362,7 +364,46 @@ def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
         q_sliced = sliced(v)
         for b in range(j + 1, m, _BLOCK):
             project_out(rows[b : b + _BLOCK], v, q_sliced)
-    return np.ascontiguousarray(rows.T)
+    return rows
+
+
+def _draw_blocks(stream: SplitMix64, n: int, m: int):
+    """The stream's next m columns of n draws, in stream order, as the
+    rows of (k, n) blocks of at most ``_DRAW_BLOCK`` entries (a single
+    column when n exceeds that); yields (j, block), block[i] being
+    column j + i.  Each block is a fresh array."""
+    per_block = max(1, _DRAW_BLOCK // n)
+    for j in range(0, m, per_block):
+        k = min(per_block, m - j)
+        yield j, stream.fill_column(k * n).reshape(k, n)
+
+
+def column_blocks(password: bytes | str, n: int, m: int, orthonormalize: bool = False):
+    """The columns of :func:`derive_matrix` ``(password, n, m,
+    orthonormalize)``, in order, as the rows of (k, n) blocks: an
+    iterator of (j, block), block[i] being column j + i.
+
+    Plain columns come straight from the stream, one draw block at a
+    time, so a caller that drops each block after use never holds more
+    than ``_DRAW_BLOCK`` entries of the matrix, or one column when n
+    exceeds that.  Orthonormalized columns
+    are drawn into one (m, n) array, orthonormalized in place and yielded
+    as a single block: one n x m float64 array at the peak.  Dimensions
+    are checked, and the orthonormalization done, before this returns.
+    """
+    if n < 1 or m < 1:
+        raise SeedError(f"matrix dims must be positive, got {n}x{m}")
+    if orthonormalize and m > n:
+        raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
+    stream = SplitMix64(derive_seed(password))
+    blocks = _draw_blocks(stream, n, m)
+    if not orthonormalize:
+        return blocks
+    rows = np.empty((m, n), dtype=np.float64)
+    for j, block in blocks:
+        rows[j : j + len(block)] = block
+    # regeneration draws continue the stream after the m columns
+    return iter([(0, _orthonormalize_rows(rows, regenerate=lambda: stream.fill_column(n)))])
 
 
 def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = False) -> np.ndarray:
@@ -371,36 +412,24 @@ def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = 
     Entries are :meth:`SplitMix64.next_uniform` draws (0.5 itself has
     probability about 2**-54), taken column by column from the stream
     (first column fully before the second), so the layout is
-    reproducible across implementations.  The result is C-contiguous.
-    With ``orthonormalize`` the columns are passed through
-    :func:`gram_schmidt` afterwards; a linearly dependent column (never
-    seen in practice) is replaced by further draws from the same stream.
+    reproducible across implementations.  The result is C-contiguous
+    and read-only.  With ``orthonormalize`` the columns are passed
+    through :func:`gram_schmidt` afterwards; a linearly dependent column
+    (never seen in practice) is replaced by further draws from the same
+    stream.
 
-    At its peak a plain derivation holds one n x m float64 array and an
-    orthonormalized one two (about 42 MB at n = 112 * 92, m = 256): the
-    stream fills the columns as the rows of an (m, n) array, which is
-    orthonormalized in place and then transposed into the result.
+    The columns come from :func:`column_blocks`, each block written
+    into the result as it arrives.  At its peak a plain derivation holds
+    one n x m float64 array and an orthonormalized one two (about 42 MB
+    at n = 112 * 92, m = 256): the orthonormalized rows and their
+    transposed copy, the result.  :func:`biopreimage.pipeline.enroll`
+    needs neither: it projects the blocks without storing them.
     """
-    if n < 1 or m < 1:
-        raise SeedError(f"matrix dims must be positive, got {n}x{m}")
-    if orthonormalize and m > n:
-        raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
-    stream = SplitMix64(derive_seed(password))
-    # Row j of rows is column j of the matrix, so the stream's column-major
-    # order is rows' row-major order.  Orthonormalization works on rows
-    # itself, C-contiguous, so that each block is one contiguous write; a
-    # plain matrix is filled through rows = out.T.
-    if orthonormalize:
-        rows = np.empty((m, n), dtype=np.float64)
-    else:
-        out = np.empty((n, m), dtype=np.float64)
-        rows = out.T
-    per_block = max(1, _DRAW_BLOCK // n)
-    for j in range(0, m, per_block):
-        k = min(per_block, m - j)
-        rows[j : j + k] = stream.fill_column(k * n).reshape(k, n)
-    if orthonormalize:
-        out = _orthonormalize_rows(rows, regenerate=lambda: stream.fill_column(n))
+    blocks = column_blocks(password, n, m, orthonormalize)
+    out = np.empty((n, m), dtype=np.float64)
+    # column j of out is row j of out.T, so each block is one slice of it
+    for j, block in blocks:
+        out.T[j : j + len(block)] = block
     out.flags.writeable = False
     return out
 

@@ -566,8 +566,13 @@ def problem_from_json(doc: dict) -> AttackProblem:
     width = _archived(doc, "width", (numbers.Integral,), "an integer")
     anchor_image = None
     if "anchor_image" in doc:
+        # GrayImage takes bools as 0/1 pixels and integral floats as
+        # integers; an archive holds neither, as problem_to_json writes it
+        pixels = _archived_numbers(doc, "anchor_image", rows=True)
+        if pixels is None or not all(isinstance(v, numbers.Integral) for row in pixels for v in row):
+            raise ProblemError(f"anchor_image must be a list of equal-length lists of integers, got {pixels!r}")
         try:
-            anchor_image = GrayImage(width, height, np.asarray(doc["anchor_image"]))
+            anchor_image = GrayImage(width, height, np.asarray(pixels))
         except ValueError as exc:
             raise ProblemError(f"anchor_image: {exc}") from None
     sets = []

@@ -45,8 +45,9 @@ iterates are not yet independent of the BLAS build.
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
 ground truth, never the solver's internal bookkeeping.  :func:`certify`
-alone runs it: sobel -> project -> binarize through each victim's stored
-matrix, which the builders guarantee is the password's derivation.  The
+alone runs it: sobel, then the exact template signs of enroll
+(``pipeline.template_bits``) through each victim's stored matrix, which
+the builders guarantee is the password's derivation.  The
 repair scorers' exact checks call it.  In
 :func:`solve_qcqp` a certificate comes from one of three places: the
 anchor itself, checked once before any restart; the integer repair,
@@ -85,6 +86,7 @@ from .pipeline import (
     enroll,  # noqa: F401  not called; the benchmark hook test asserts solver.enroll is pipeline.enroll
     project,
     sobel,
+    template_bits,
 )
 from .problems import AttackProblem, ProblemKind, SignConstraintSet
 
@@ -312,12 +314,25 @@ def _signs_match(feature: np.ndarray, cs: SignConstraintSet) -> bool:
         return False
 
 
+def _bits_match(feature: np.ndarray, cs: SignConstraintSet) -> bool:
+    """Whether the feature's template bits through cs's matrix, exact
+    signs as enroll takes them, are cs's template.  An entry from 2**256
+    up has no exact sign and matches no template."""
+    try:
+        return bool(np.array_equal(template_bits(feature, cs.matrix.T), cs.template.bits))
+    except PipelineError:
+        return False
+
+
 def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
     """Ground-truth success map for a candidate image.
 
-    Sign problems get one entry per victim: sobel -> project -> binarize
-    re-run through the victim's stored matrix, which the builders
-    guarantee is the password's derivation, must give the template.  The
+    Sign problems get one entry per victim: the template bits of the
+    candidate's Sobel feature through the victim's stored matrix, which
+    the builders guarantee is the password's derivation, must be the
+    template.  The bits are the exact signs of the projections
+    (:func:`template_bits`), the rule enroll follows, so a certificate
+    and a re-enroll agree on every BLAS build and thread count.  The
     image-phase problem gets a single ``feature`` entry comparing
     squared gradient magnitudes against the target.
     """
@@ -327,7 +342,7 @@ def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
     if problem.kind is ProblemKind.IMAGE_PHASE:
         resid = np.abs(feat**2 - problem.target_feature**2)
         return {"feature": bool(resid.max(initial=0.0) <= _IMAGE_CERT_TOL)}
-    return {str(i): _signs_match(feat, cs) for i, cs in enumerate(problem.constraint_sets)}
+    return {str(i): _bits_match(feat, cs) for i, cs in enumerate(problem.constraint_sets)}
 
 
 # ---------------------------------------------------------------------------

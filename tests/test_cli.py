@@ -173,6 +173,13 @@ class TestAttack:
         "bool-height": lambda doc: doc.update(height=True),
         "float-width": lambda doc: doc.update(width=float(doc["width"])),
         "null-anchor-image": lambda doc: doc.update(anchor_image=None),
+        # GrayImage reads bools as 0/1 pixels
+        "bool-anchor-image": lambda doc: doc.update(
+            anchor_image=[[v > 0 for v in row] for row in doc["anchor_image"]]
+        ),
+        "float-anchor-image": lambda doc: doc.update(
+            anchor_image=[[float(v) for v in row] for row in doc["anchor_image"]]
+        ),
         "int-constraint-sets": lambda doc: doc.update(constraint_sets=5),
         "string-constraint-set": lambda doc: doc["constraint_sets"].append("0110"),
         "int-template": lambda doc: doc["constraint_sets"][0].update(template=5),

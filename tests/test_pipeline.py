@@ -5,9 +5,15 @@ the flipped kernel so it shares no code path with the vectorized
 implementation under test.
 """
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import biopreimage
 from biopreimage import (
     GrayImage,
     PipelineError,
@@ -22,7 +28,8 @@ from biopreimage import (
     sobel,
     verify,
 )
-from biopreimage.pipeline import MAX_FEATURE, SOBEL_X, SOBEL_Y
+from biopreimage.pipeline import MAX_FEATURE, SOBEL_X, SOBEL_Y, template_bits
+from biopreimage.prng import _DRAW_BLOCK
 
 
 def conv_oracle(kernel, pixels):
@@ -57,6 +64,18 @@ def random_image(rng, max_side=8):
     h = int(rng.integers(1, max_side + 1))
     w = int(rng.integers(1, max_side + 1))
     return GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+
+
+def blocky_image(rng, h, w):
+    """8x8 cells plus fine noise, in the manner of a synthetic face:
+    strong edges on a smooth background."""
+    cells = rng.integers(40, 216, (h // 8 + 1, w // 8 + 1))
+    base = np.kron(cells, np.ones((8, 8), dtype=np.int64))[:h, :w]
+    return GrayImage(w, h, np.clip(base + rng.integers(-8, 9, base.shape), 0, 255))
+
+
+#: Bytes of one n x m float64 matrix at face size (112x92 pixels, 256 bits).
+FACE_MATRIX_BYTES = 112 * 92 * 256 * 8
 
 
 class TestGrayImage:
@@ -195,6 +214,58 @@ class TestBinarize:
             assert bit == (0 if x < 0 else 1)
 
 
+class TestTemplateBits:
+    def test_exact_sign_where_blas_rounds_to_zero(self):
+        # fl(1 - 1e-17) = 1, so every summation order gives 0.0 and bit 1;
+        # the exact dot is -1e-17
+        f = np.array([1.0, 1.0, 1.0])
+        column = np.array([1.0, -1e-17, -1.0])
+        assert project(f, column[:, None]).tolist() == [0.0]
+        assert binarize(project(f, column[:, None])).to_bitstring() == "1"
+        assert template_bits(f, column[None]).tolist() == [0]
+        assert template_bits(f, -column[None]).tolist() == [1]
+
+    def test_negative_dot_below_the_smallest_double_is_zero_bit(self):
+        # the exact dot -2**-1200 rounds to -0.0; it is still negative
+        f = np.array([2.0**-600, 1.0])
+        column = np.array([-(2.0**-600), 0.0])
+        assert binarize(project(f, column[:, None])).to_bitstring() == "1"
+        assert template_bits(f, column[None]).tolist() == [0]
+        assert template_bits(f, -column[None]).tolist() == [1]
+
+    def test_exact_zero_is_one(self):
+        assert template_bits(np.array([3.0, 3.0]), np.array([[1.0, -1.0], [0.0, 0.0]])).tolist() == [1, 1]
+        assert template_bits(np.zeros(4), np.array([[0.5, -0.5, 0.1, 0.2]])).tolist() == [1]
+
+    def test_matches_float_signs_and_ignores_column_order(self):
+        rng = np.random.default_rng(23)
+        f = np.abs(rng.normal(size=50)) * 100
+        cols = rng.uniform(-0.5, 0.5, size=(40, 50))
+        bits = template_bits(f, cols)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, binarize(cols @ f).bits)
+        assert np.array_equal(template_bits(f, cols[::-1])[::-1], bits)
+        assert np.array_equal(template_bits(f, np.asfortranarray(cols)), bits)
+        assert np.array_equal(np.concatenate([template_bits(f, c[None]) for c in cols]), bits)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**256, -(2.0**256)])
+    @pytest.mark.parametrize("where", ["feature", "column"])
+    def test_unusable_entries_raise(self, bad, where):
+        f = np.ones(3)
+        cols = np.full((2, 3), 0.25)
+        if where == "feature":
+            f[1] = bad
+        else:
+            cols[1, 2] = bad
+        with pytest.raises(PipelineError):
+            template_bits(f, cols)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_shape_mismatch_raises(self, shape):
+        with pytest.raises(PipelineError):
+            template_bits(np.ones(3), np.ones(shape))
+
+
 class TestTemplate:
     def test_bitstring_round_trip(self):
         t = Template.from_bitstring("1011001")
@@ -269,6 +340,60 @@ class TestEnroll:
         img = GrayImage(1, 1, [[0]])
         with pytest.raises((PipelineError, ValueError)):
             enroll(img, "pw", 0)
+
+    @pytest.mark.parametrize(
+        "h, w, m, ortho",
+        [
+            (2, 5, 20, False),
+            (2, 5, 10, True),
+            (16, 16, 64, False),
+            (16, 16, 64, True),
+            (112, 92, 256, False),
+            (112, 92, 256, True),
+            (25, 40, 70, False),  # 65 columns a draw block, then a partial block of 5
+            (25, 40, 70, True),
+            (1, _DRAW_BLOCK + 3, 2, False),  # one column per block, longer than a block
+            (1, _DRAW_BLOCK + 3, 2, True),
+        ],
+    )
+    def test_matches_binarized_projection_through_derived_matrix(self, h, w, m, ortho):
+        rng = np.random.default_rng(h * w + m)
+        matrix = derive_matrix("sweep-pw", h * w, m, orthonormalize=ortho)
+        images = [GrayImage(w, h, rng.integers(0, 256, size=(h, w))), blocky_image(rng, h, w)]
+        for img in images:
+            assert enroll(img, "sweep-pw", m, orthonormalize=ortho) == binarize(project(sobel(img), matrix))
+
+    @pytest.mark.parametrize(
+        "ortho, bound", [(False, 4_000_000), (True, 1.25 * FACE_MATRIX_BYTES)], ids=["plain", "orthonormalized"]
+    )
+    def test_face_size_peak_memory(self, ortho, bound):
+        # plain: one draw block and its temporaries; orthonormalized: the
+        # rows Gram-Schmidt works on, no transposed copy
+        img = blocky_image(np.random.default_rng(29), 112, 92)
+        tracemalloc.start()
+        try:
+            enroll(img, "pw", 256, orthonormalize=ortho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_face_size_templates_independent_of_blas_threads(self):
+        code = (
+            "import numpy as np\n"
+            "from biopreimage import GrayImage, enroll\n"
+            "img = GrayImage(92, 112, np.random.default_rng(31).integers(0, 256, (112, 92)))\n"
+            "print(enroll(img, 'pw', 256).to_hex(), enroll(img, 'pw', 256, orthonormalize=True).to_hex())"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(biopreimage.__file__)))
+        templates = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            templates.add(run.stdout)
+        assert len(templates) == 1
 
 
 class TestVerify:

@@ -383,6 +383,18 @@ class TestInterfaces:
         monkeypatch.setattr(solver_module, "project", lambda f, m: np.full(m.shape[1], np.nan))
         assert certify(img, prob) == {"0": False}
 
+    def test_certify_takes_the_exact_sign(self):
+        # a one-row image has integer features: [1, 1, 0] gives [2, 2, 2].
+        # Through the column [1, -1e-17, -1] every summation order gives
+        # 0.0, bit 1, but the exact projection -2e-17 is negative: bit 0
+        img = GrayImage.from_flat(3, 1, [1, 1, 0])
+        assert sobel(img).tolist() == [2.0, 2.0, 2.0]
+        mat = np.array([[1.0], [-1e-17], [-1.0]])
+        assert binarize(project(sobel(img), mat)).to_bitstring() == "1"
+        for bits, certified in (("0", True), ("1", False)):
+            prob = build_merged(img, Template.from_bitstring(bits), matrix=mat, delta=1.0)
+            assert certify(img, prob) == {"0": certified}
+
     def test_conv_operators_match_sobel(self):
         rng = np.random.default_rng(71)
         a1, a2 = conv_operators(3, 4)
@@ -455,7 +467,8 @@ class TestCertify:
         def refuse(*args, **kwargs):
             raise AssertionError("certification derived a matrix")
 
-        monkeypatch.setattr(pipeline_module, "derive_matrix", refuse)
+        monkeypatch.setattr(pipeline_module, "column_blocks", refuse)
+        monkeypatch.setattr(prng_module, "column_blocks", refuse)
         monkeypatch.setattr(prng_module, "derive_matrix", refuse)
         for img, (ok1, ok2) in want.items():
             assert certify(img, merged) == {"0": ok1}
