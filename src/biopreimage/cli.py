@@ -216,6 +216,10 @@ def _bench_trial(payload):
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.workers < 0:
+        raise ValueError(f"--workers must be 0 (one per core) or more, got {args.workers}")
     config = _solver_config(args)
     payloads = [(t, args.image_size, args.template_size, config) for t in range(args.trials)]
     results = []
@@ -246,6 +250,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be 0 or more, got {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
         image = _synth_image(args.width, args.height, f"synth:{args.seed_label}:{i}")

@@ -8,10 +8,14 @@ arithmetic down to the rounding of every operation, so the result does
 not depend on the BLAS build.  Each of its dot products is the exact
 value rounded once.  A filter (:func:`_filtered_dots`) gets most of them
 cheaply: one cut of the residual gives an exact part and an ordinary
-BLAS dot with a rigorous error bound.  Only where the bound leaves the
-rounding open is the dot formed in full by error-free slicing
-(:func:`_exact_dots`).  The generator is deliberately not cryptographic: the threat model hands
-the password to the attacker anyway.
+BLAS dot with a rigorous error bound.  The cut's exponent comes from a
+bound on each residual's largest entry that the loop keeps up to date,
+so a row is scanned only when that bound passes a power of two.  Where
+the error bound leaves the rounding open, a second cut of the low part
+narrows it 2**30-fold; only a row still open after that is formed in
+full by error-free slicing (:func:`_exact_dots`).  The generator is
+deliberately not cryptographic: the threat model hands the password to
+the attacker anyway.
 """
 
 from __future__ import annotations
@@ -47,13 +51,14 @@ _MAX_ENTRY = 2.0**256
 _MIN_GRID = -1074
 
 #: Rows a finished column is projected out of at once: enough to spread
-#: the per-call overhead, few enough that their slices stay in cache.
-_BLOCK = 4
+#: the per-call overhead, few enough that a block, the scratch buffer
+#: and the slices of q_k stay near a 2 MB L2 cache at face size.
+_BLOCK = 8
 
-#: Bits above its grid of the one cut :func:`_filtered_dots` takes of a
-#: residual block.  More bits leave a smaller low part, so fewer dot
-#: products need the exact fallback (2.2-2.3% at face size), but give
-#: q_k fewer bits per slice and so more slices.
+#: Bits above its grid of each cut :func:`_filtered_dots` takes of a
+#: residual block.  More bits leave a smaller low part, so fewer rows
+#: need the second cut (about 2.2% at face size), but give q_k fewer bits
+#: per slice and so more slices.
 _CUT_BITS = 30
 
 
@@ -211,59 +216,93 @@ def _exact_dots(xs: np.ndarray, xg: list[int], ys: np.ndarray, yg: list[int]) ->
     return [sum(int(v) << (e - low) for v, e in zip(p, shifts)) / (1 << -low) for p in parts]
 
 
-def _filtered_dots(q: np.ndarray, q_sliced: tuple, block: np.ndarray, vbits: int, scratch: np.ndarray) -> list[float]:
+def _row_maxima(block: np.ndarray) -> list[float]:
+    """max|row| of each row of a block, from one max and one min scan."""
+    return np.maximum(block.max(axis=1), -block.min(axis=1)).tolist()
+
+
+def _filtered_dots(
+    q: np.ndarray, q_sliced: tuple, block: np.ndarray, e_top: int, vbits: int, buf: np.ndarray
+) -> tuple[list[float], bool]:
     """Correctly rounded dot products of q with each row of a block: the
     values :func:`_exact_dots` gives, at a fraction of its cost.
 
     ``q_sliced`` is ``(slices, grids, l1)``: q split by :func:`_split` at
     ``_slice_budget(n) - vbits`` bits, and sum(|q|) summed in floating
-    point in any order.  ``scratch`` holds two (_BLOCK, n) buffers.
+    point in any order.  ``e_top`` is any exponent with |block| <
+    2**e_top.  :func:`_orthonormalize_rows` passes one it tracks instead
+    of scanning the block; one that is too high only widens the error
+    bounds below.  ``buf`` is a (_BLOCK, n) scratch buffer: it holds vh,
+    then vl in vh's place.  Returns the dots and whether any row took the
+    second cut.
 
-    The block is cut once, at grid g0 = e_top - vbits (|block| <
-    2**e_top), into vh on that grid and vl = block - vh, both exact.  The
-    products of vh with the slices of q are exact BLAS dot products, for
-    the reason those of :func:`_exact_dots` are; a = vl @ q is an ordinary
-    one, within err of the exact value.  So each exact dot lies in
-    [s - err, s + err], s being the exact sum of its parts and a; rounding
-    is monotone, so where ``math.fsum`` rounds both ends to the same
-    double, that double is the dot.  Where it does not, the row falls
-    back to :func:`_exact_dots`; so does the whole block when a product of
-    vh and a slice of q could fall below the smallest subnormal.
+    The block is cut at grid g0 = e_top - vbits into vh on that grid and
+    vl = block - vh, both exact, |vl| <= 2**(g0 - 1).  vh has at most
+    vbits bits, so its products with the slices of q are exact BLAS dot
+    products, for the reason those of :func:`_exact_dots` are; a = vl @ q
+    is an ordinary one, within err of the exact value.  So each exact dot
+    lies in [s - err, s + err], s being the exact sum of its parts and a;
+    rounding is monotone, so where ``math.fsum`` rounds both ends to the
+    same double, that double is the dot.  Where they differ, the row's vl
+    is cut again at grid g0 - vbits (its high part has at most vbits - 1
+    bits): its exact parts replace a, with one more approximate dot whose
+    err is 2**-vbits times the first plus the same underflow term.  A row
+    still open after that, and the whole block when a product of a cut
+    and a slice of q could fall below the smallest subnormal, is formed
+    by :func:`_exact_dots`.
     """
     qs, qg, l1 = q_sliced
     rows, n = block.shape
-    g0 = math.frexp(max(block.max(), -block.min()))[1] - vbits
+
+    def bound(g):
+        # The bound on the error of a = fl(x @ q) for |x| <= 2**(g - 1).
+        # In any summation order, with or without fused multiply-adds,
+        # each term passes through at most n roundings of relative error
+        # u = 2**-53, so the normal part of the error is at most gamma_n *
+        # 2**(g - 1) * sum(|q|), with gamma_n = n*u / (1 - n*u).  Each
+        # rounding that underflows adds at most 2**-1075 instead, and at
+        # most n of them do.  The bound takes twice both terms: n * 2**(g -
+        # 53) * l1, that is 2*n*u against gamma_n, and n * 2**-1074.  For n
+        # below 2**50 the factor 2 also covers l1 falling short of sum(|q|)
+        # (by a relative gamma_n at most) and the roundings of n * l1, of
+        # ldexp and of the final sum.
+        # 2 * bound >= 2**-1073 is wider than the interval of reals that
+        # round to zero, so a zero never passes the filter: every zero dot
+        # comes from the exact path, with that path's sign.
+        return math.ldexp(n * l1, g - 53) + n * 2.0**_MIN_GRID
+
+    def second_cut(i, p):
+        g1 = g0 - vbits
+        if qg[-1] + g1 >= _MIN_GRID:
+            sigma1 = math.ldexp(1.5, g1 + 52)
+            vlh = (v[i] + sigma1) - sigma1
+            p = p + np.dot(vlh, qs.T).tolist() + [float((v[i] - vlh) @ q)]
+            err1 = bound(g1)
+            lo = math.fsum(p + [-err1])
+            if lo == math.fsum(p + [err1]):
+                return lo
+        return _exact_dots(qs, qg, *_split(block[i : i + 1], vbits))[0]
+
+    g0 = e_top - vbits
     if qg[-1] + g0 < _MIN_GRID:
-        return _exact_dots(qs, qg, *_split(block, vbits))
-    vh, vl = scratch[:, :rows]
+        return _exact_dots(qs, qg, *_split(block, vbits)), False
+    v = buf[:rows]
     sigma = math.ldexp(1.5, g0 + 52)
-    np.add(block, sigma, out=vh)
-    vh -= sigma
-    np.subtract(block, vh, out=vl)  # |vl| <= 2**(g0 - 1)
-    # The bound on the error of a = fl(vl @ q).  In any summation order,
-    # with or without fused multiply-adds, each term passes through at
-    # most n roundings of relative error u = 2**-53, so the normal part of
-    # the error is at most gamma_n * 2**(g0 - 1) * sum(|q|), with gamma_n
-    # = n*u / (1 - n*u).  Each rounding that underflows adds at most
-    # 2**-1075 instead, and at most n of them do.  err takes twice both
-    # terms: n * 2**(g0 - 53) * l1, that is 2*n*u against gamma_n, and
-    # n * 2**-1074.  For n below 2**50
-    # the factor 2 also covers l1 falling short of sum(|q|) (by a relative
-    # gamma_n at most) and the roundings of n * l1, of ldexp and of the
-    # final sum.
-    # 2 * err >= 2**-1073 is wider than the interval of reals that round
-    # to zero, so a zero never passes the filter: every zero dot comes
-    # from the exact path, with that path's sign.
-    err = math.ldexp(n * l1, g0 - 53) + n * 2.0**_MIN_GRID
-    parts = (qs @ vh.T).T.tolist()
-    approx = (vl @ q).tolist()
+    np.add(block, sigma, out=v)
+    v -= sigma  # vh
+    parts = np.dot(v, qs.T).tolist()
+    np.subtract(block, v, out=v)  # vl, in vh's place
+    approx = (v @ q).tolist()
+    err = bound(g0)
     dots = []
+    recut = False
     for i, (p, a) in enumerate(zip(parts, approx)):
         lo = math.fsum(p + [a, -err])
         if lo != math.fsum(p + [a, err]):
-            lo = _exact_dots(qs, qg, *_split(block[i : i + 1], vbits))[0]
+            recut = True
+            lo = second_cut(i, p)
         dots.append(lo)
-    return dots
+    return dots, recut
 
 
 def _check_entries(a: np.ndarray) -> None:
@@ -287,15 +326,24 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     Here dot is the exact dot product rounded once to the nearest double
     (ties to even, +0.0 for an exact zero), and sqrt and / are the
     correctly rounded IEEE-754 operations.  Each c comes from a filter
-    (:func:`_filtered_dots`): the residual is cut once, at ``_CUT_BITS``
-    below its largest entry, into a high part whose products with the
-    slices of q_k are exact and a low part whose BLAS dot with q_k is
-    within err = n 2**(g0 - 53) sum(|q_k|) + n 2**-1074 of its exact
-    value (err is twice a rigorous bound; 2**g0 is the cut's grid).  When
-    the exact sum plus and minus err rounds to one double, that double
-    is c; otherwise c, like every norm, comes from error-free slicing
-    (:func:`_exact_dots`).  Either way no result depends on BLAS
+    (:func:`_filtered_dots`): the residual is cut at 2**g0, ``_CUT_BITS``
+    below a power of two 2**e above its largest entry, into a high part
+    whose products with the slices of q_k are exact and a low part whose
+    BLAS dot with q_k is within err = n 2**(g0 - 53) sum(|q_k|) + n
+    2**-1074 of its exact value (err is twice a rigorous bound).  When the
+    exact sum plus and minus err rounds to one double, that double is c.
+    Otherwise the low part is cut again, ``_CUT_BITS`` further down, which
+    shrinks the normal part of err 2**30-fold; c comes from error-free
+    slicing (:func:`_exact_dots`), like every norm, only when that too
+    leaves the rounding open.  Either way no result depends on BLAS
     summation order, threading or use of FMA.
+
+    e is tracked rather than scanned for: each row keeps the exponent of
+    its last scan and a bound on its largest entry, raised after each
+    update by |c| max|q_k| (see :func:`_orthonormalize_rows`).  A row is
+    scanned again only when the bound passes 2**e, and every row of a
+    block in which a row needed the second cut.  A stale-high e widens
+    err but never changes c.
 
     Entries must be finite and below 2**256 in magnitude, so that no
     dot product can overflow; other columns raise :class:`SeedError`.
@@ -328,26 +376,55 @@ def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
     # in place.  Once q_k is final it is projected out of every later row,
     # a block of rows at a time; each row still sees q_0, q_1, ... in
     # order, so this is the modified Gram-Schmidt gram_schmidt defines.
-    # The residual block is cut once per projection at _CUT_BITS, and each
-    # q_k sliced once with the rest of the budget; columns longer than
-    # 2**15 get a lower cut, so that q_k's slices keep 8 bits.
+    # The residual block is cut at _CUT_BITS, and each q_k sliced once
+    # with the rest of the budget; columns longer than 2**15 get a lower
+    # cut, so that q_k's slices keep 8 bits.
     budget = _slice_budget(n)
     vbits = min(_CUT_BITS, budget - 8)
-    scratch = np.empty((2, _BLOCK, n))
+    buf = np.empty((_BLOCK, n))
+    # The cut needs an exponent e with |row| < 2**e.  Rather than scan the
+    # block before every projection, each row keeps the e of its last scan
+    # and an upper bound on max|row|.  Entrywise, fl(row - fl(c * q)) is
+    # at most (|row| + |c| |q| + 2**-1075) (1 + 2**-53)**2, so after each
+    # update the bound rises by |c| max|q|, plus 2**-1074 for a product
+    # that underflows, times 1 + 2**-40, which covers those two roundings
+    # and the four of the bound itself.  A row is scanned again only when
+    # its bound reaches 2**e.  So is every row of a block in which a row
+    # needed the second cut: a residual that shrank leaves e stale-high,
+    # which widens err and sends more rows there.
+    bounds = [0.0] * m
+    expo = [0] * m
+    tiny, grow = 2.0**_MIN_GRID, 1.0 + 2.0**-40
 
-    def sliced(q):
-        return *_split(q, budget - vbits), float(np.abs(q).sum())
+    def scan(lo, hi):
+        bounds[lo:hi] = top = _row_maxima(rows[lo:hi])
+        expo[lo:hi] = [math.frexp(t)[1] for t in top]
 
-    def project_out(block, q, q_sliced):
-        dots = _filtered_dots(q, q_sliced, block, vbits, scratch)
-        # the products reuse the low part's buffer, free once the dots are back
-        block -= np.multiply(np.array(dots)[:, None], q, out=scratch[1, : len(block)])
+    def project_out(lo, hi, q, q_sliced, q_max):
+        block = rows[lo:hi]
+        dots, recut = _filtered_dots(q, q_sliced, block, max(expo[lo:hi]), vbits, buf)
+        # the products reuse the scratch buffer, free once the dots are back
+        block -= np.multiply(np.array(dots)[:, None], q, out=buf[: hi - lo])
+        if recut:
+            scan(lo, hi)
+            return
+        for i, c in enumerate(dots, lo):
+            bounds[i] = (bounds[i] + abs(c) * q_max + tiny) * grow
+            if math.frexp(bounds[i])[1] > expo[i]:
+                scan(i, i + 1)
+
+    def project_all(lo, hi, q):
+        q_sliced = *_split(q, budget - vbits), float(np.abs(q).sum())
+        q_max = float(max(q.max(), -q.min()))
+        for b in range(lo, hi, _BLOCK):
+            project_out(b, min(b + _BLOCK, hi), q, q_sliced, q_max)
 
     def norm(v):
         s, g = _split(v, budget // 2)
         return math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
 
     scales = [norm(v) for v in rows]
+    scan(0, m)
     attempts = 0
     for j, v in enumerate(rows):
         scale = scales[j]
@@ -358,12 +435,11 @@ def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
             v[:] = regenerate()
             _check_entries(v)
             scale = norm(v)
+            scan(j, j + 1)
             for q in rows[:j]:
-                project_out(v[None], q, sliced(q))
+                project_all(j, j + 1, q)
         v /= length
-        q_sliced = sliced(v)
-        for b in range(j + 1, m, _BLOCK):
-            project_out(rows[b : b + _BLOCK], v, q_sliced)
+        project_all(j + 1, m, v)
     return rows
 
 

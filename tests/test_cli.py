@@ -418,6 +418,14 @@ class TestBench:
         assert self._run(out, workers="2") == 0
         assert len(out.read_text().strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"), ("--workers", "-2")])
+    def test_bad_count_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bench.csv"
+        # the later flag overrides the one _run passes
+        assert self._run(out, extra=(flag, value)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+        assert not out.exists()
+
 
 class TestSynth:
     def test_deterministic_files(self, tmp_path, capsys):
@@ -440,6 +448,15 @@ class TestSynth:
         ])
         assert rc == 0
         assert list((tmp_path / "empty").iterdir()) == []
+
+    def test_negative_count_exit_2(self, tmp_path, capsys):
+        rc = main([
+            "synth", "--width", "2", "--height", "2", "--count", "-1",
+            "--out-dir", str(tmp_path / "none"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --count must be")
+        assert not (tmp_path / "none").exists()
 
     def test_pixel_histogram_uniform(self, tmp_path, capsys):
         rc = main([

@@ -91,7 +91,33 @@ def _oracle_case(name):
     if name == "small-scale":
         # well conditioned, but every column norm is below 1e-12
         return np.random.default_rng(0).uniform(-0.5, 0.5, (3, 2)) * 1e-12, []
+    if name == "blocks":
+        # several blocks of _BLOCK rows, and a partial last block
+        return rng.uniform(-0.5, 0.5, size=(30, 19)), []
+    if name == "shrinking":
+        # the last five columns repeat the first five up to 1e-6 noise, so
+        # their residuals fall by about six orders of magnitude
+        cols = rng.uniform(-0.5, 0.5, size=(24, 10))
+        cols[:, 5:] = cols[:, :5] + 1e-6 * rng.uniform(-0.5, 0.5, size=(24, 5))
+        return cols, []
+    if name == "growing":
+        # projecting q_0 = (0.8, -0.6, 0, ...) out of (0.49, 0.49, ...)
+        # lifts the second entry to 0.5488, past 0.5
+        cols = rng.uniform(-0.5, 0.5, size=(8, 3))
+        cols[:, 0] = [0.8, -0.6, 0, 0, 0, 0, 0, 0]
+        cols[:, 1] = 0.49
+        return cols, []
     raise ValueError(name)
+
+
+ORACLE_CASES = ["uniform", "tall", "wide-range", "regenerate", "small-scale", "blocks", "shrinking", "growing"]
+
+
+def _oracle_gram_schmidt(name):
+    """gram_schmidt of an oracle case, fed that case's fresh columns."""
+    cols, fresh = _oracle_case(name)
+    supply = iter([f.copy() for f in fresh])
+    return gram_schmidt(cols, regenerate=lambda: next(supply))
 
 
 class TestHashing:
@@ -242,7 +268,7 @@ class TestGramSchmidt:
         with pytest.raises(SeedError):
             derive_matrix("pw", 3, 4, orthonormalize=True)
 
-    @pytest.mark.parametrize("name", ["uniform", "tall", "wide-range", "regenerate", "small-scale"])
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_matches_exact_rational_oracle(self, name):
         cols, fresh = _oracle_case(name)
         supply = iter([f.copy() for f in fresh])
@@ -277,6 +303,7 @@ class TestGramSchmidt:
         [
             ("a", "82b7905d924fa4f1756662ad0939309448d07b65d35f9d6fb25a18ee265ecb55"),
             ("face-b", "59689d2be7be296f83d8c175605a6556c1b2e51c4ac4fb08ef3377e86c821dcd"),
+            ("zz9", "653da5721a3c979e503b9ce1b9ca512708b8957ccdf61b35680fe267a723a41f"),
         ],
     )
     def test_face_size_sha256(self, password, digest):
@@ -415,9 +442,11 @@ class TestDegenerateThreshold:
 
 
 def _filter_case(name):
-    """(q, block, the row counts of the blocks passed to _exact_dots)."""
+    """(q, block, the rows of the block passed to _exact_dots, call by call)."""
     if name == "near-midpoint":
-        # q . row = row.sum(); the cut leaves err = 2**-78 around each sum
+        # q . row = row.sum(); the cut leaves err = 2**-78 around each sum,
+        # and the second cut 2**-108.  No err, however small, settles an
+        # exact tie, so only the third row goes on to full slicing.
         q = np.ones(4)
         block = np.array(
             [
@@ -427,17 +456,17 @@ def _filter_case(name):
                 [1.0, -(2.0**-54) - 2.0**-75, 0.0, 0.0],  # 2**-75 below the tie 1 - 2**-54
             ]
         )
-        return q, block, [1, 1]
+        return q, block, [[2]]
     if name == "tie":
         # the "tie" columns above: 1 + 2**-53 + 2**-1200, whose last term
-        # the BLAS dot loses to underflow
-        return np.array([1.0, 2.0**-53, 2.0**-600, 0.0]), np.array([[1.0, 1.0, 2.0**-600, 0.5]]), [1]
+        # the BLAS dot loses to underflow at either cut
+        return np.array([1.0, 2.0**-53, 2.0**-600, 0.0]), np.array([[1.0, 1.0, 2.0**-600, 0.5]]), [[0]]
     if name == "subnormal":
         # the "subnormal" columns above: q's finest slice is on the grid
         # 2**-1074, so a product with the cut's grid could underflow
         q = np.array([1.0, 1e-300, 0.3, -2.5e-301, 5e-324])
         block = np.array([[0.7, 3e-300, 1.0, 1e-310, -0.2], [0.5, 0.25, -1.0, 0.0, 2.0]])
-        return q, block, [2]
+        return q, block, [[0, 1]]
     if name == "uniform":
         rng = np.random.default_rng(11)
         q = rng.standard_normal(64)
@@ -446,36 +475,103 @@ def _filter_case(name):
 
 
 def _count_exact_dots(monkeypatch):
-    """Record the row count of every block passed to prng._exact_dots."""
+    """Record the rows of every block passed to prng._exact_dots, one
+    list of rows per call; the slices of a row sum to it exactly."""
     calls = []
     exact_dots = prng._exact_dots
 
     def counted(xs, xg, ys, yg):
-        calls.append(ys.shape[1])
+        calls.append([[math.fsum(e) for e in row.T] for row in ys.transpose(1, 0, 2)])
         return exact_dots(xs, xg, ys, yg)
 
     monkeypatch.setattr(prng, "_exact_dots", counted)
     return calls
 
 
+def _e_top(block):
+    """The exponent of a scan: |block| < 2**e_top."""
+    return math.frexp(np.abs(block).max())[1]
+
+
 class TestFilteredDots:
     @pytest.mark.parametrize("name", ["near-midpoint", "tie", "subnormal", "uniform"])
     def test_matches_exact_dots(self, name, monkeypatch):
-        q, block, want_calls = _filter_case(name)
+        q, block, want_rows = _filter_case(name)
         n = block.shape[1]
         q_sliced = (*_split(q, _slice_budget(n) - _CUT_BITS), float(np.abs(q).sum()))
         want = prng._exact_dots(*q_sliced[:2], *_split(block, _CUT_BITS))
         calls = _count_exact_dots(monkeypatch)
-        got = _filtered_dots(q, q_sliced, block, _CUT_BITS, np.empty((2, _BLOCK, n)))
+        got, recut = _filtered_dots(q, q_sliced, block, _e_top(block), _CUT_BITS, np.empty((_BLOCK, n)))
+        assert recut == (name in ("near-midpoint", "tie"))
         assert _same_bits(np.array(got), np.array(want))
         assert _same_bits(np.array(got), np.array([_rounded_dot(q, row) for row in block]))
-        # the underflow guard passes the whole block, a fallback one row;
-        # the rows of neither took the fast path
-        assert calls == want_calls
+        # the underflow guard passes the whole block, a row that the second
+        # cut leaves open only that row
+        assert calls == [[block[i].tolist() for i in rows] for rows in want_rows]
+
+    @pytest.mark.parametrize("name", ["near-midpoint", "tie", "uniform"])
+    def test_stale_high_exponent_gives_the_same_dots(self, name):
+        q, block, _ = _filter_case(name)
+        n = block.shape[1]
+        q_sliced = (*_split(q, _slice_budget(n) - _CUT_BITS), float(np.abs(q).sum()))
+        want = [_rounded_dot(q, row) for row in block]
+        for slack in (1, 12, 40):
+            got, _ = _filtered_dots(q, q_sliced, block, _e_top(block) + slack, _CUT_BITS, np.empty((_BLOCK, n)))
+            assert _same_bits(np.array(got), np.array(want))
 
     def test_fallback_is_rare(self, monkeypatch):
         calls = _count_exact_dots(monkeypatch)
         derive_matrix("fallback-pw", 2000, 32, orthonormalize=True)
         # each of the 32 columns takes two norms, one call each; the other
-        # calls are fallbacks, out of 32 * 31 / 2 projections
-        assert set(calls) == {1} and len(calls) - 64 < 0.05 * 496
+        # calls are rows that neither cut resolved, out of 32 * 31 / 2
+        # projections
+        assert {len(rows) for rows in calls} == {1} and len(calls) - 64 < 0.05 * 496
+
+
+def _count_loop_paths(monkeypatch):
+    """Count the row scans after the first (the rescans) and the
+    _filtered_dots calls in which a row took the second cut."""
+    counts = {"scans": 0, "second_cuts": 0}
+    row_maxima, filtered_dots = prng._row_maxima, prng._filtered_dots
+
+    def scanned(block):
+        counts["scans"] += 1
+        return row_maxima(block)
+
+    def filtered(*args):
+        dots, recut = filtered_dots(*args)
+        counts["second_cuts"] += recut
+        return dots, recut
+
+    monkeypatch.setattr(prng, "_row_maxima", scanned)
+    monkeypatch.setattr(prng, "_filtered_dots", filtered)
+    return counts
+
+
+class TestTrackedExponent:
+    def test_growing_residual_is_scanned_again(self, monkeypatch):
+        # no row takes the second cut, so the rescan after the first scan
+        # comes from the bound passing 2**-1
+        counts = _count_loop_paths(monkeypatch)
+        _oracle_gram_schmidt("growing")
+        assert counts["scans"] > 1 and counts["second_cuts"] == 0
+
+    def test_shrinking_residuals_take_the_second_cut(self, monkeypatch):
+        counts = _count_loop_paths(monkeypatch)
+        _oracle_gram_schmidt("shrinking")
+        assert counts["second_cuts"] > 0
+
+    def test_exponent_bounds_every_block(self, monkeypatch):
+        # every e_top the loop passes is a true bound on its block
+        checked = []
+        filtered_dots = prng._filtered_dots
+
+        def bounded(q, q_sliced, block, e_top, vbits, buf):
+            checked.append(np.abs(block).max() < 2.0**e_top)
+            return filtered_dots(q, q_sliced, block, e_top, vbits, buf)
+
+        monkeypatch.setattr(prng, "_filtered_dots", bounded)
+        derive_matrix("fallback-pw", 2000, 32, orthonormalize=True)
+        for name in ORACLE_CASES:
+            _oracle_gram_schmidt(name)
+        assert len(checked) > 100 and all(checked)
