@@ -252,6 +252,9 @@ def _cmd_bench(args) -> int:
 def _cmd_synth(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be 0 or more, got {args.count}")
+    # checked before the output directory is made, so a refused run leaves none
+    if args.width < 1 or args.height < 1:
+        raise PipelineError(f"image dims must be positive, got {args.height}x{args.width}")
     os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
         image = _synth_image(args.width, args.height, f"synth:{args.seed_label}:{i}")

@@ -278,10 +278,13 @@ def enroll(image: GrayImage, password: bytes | str, m: int, orthonormalize: bool
     must not exceed the pixel count.
 
     The matrix is never stored.  Plain columns are projected one draw
-    block at a time as the stream yields them, so a face-size enroll
-    (112x92, 256 bits) peaks near 1.5 MB; orthonormalized ones are
-    projected straight from the rows that Gram-Schmidt worked on, one
-    n x m float64 array (about 21 MB at face size).
+    block at a time as the stream yields them.  The blocks are read-only
+    views of buffers the draw reuses, each valid until the next is
+    drawn, so the bits of a block are taken before the next is asked
+    for, and a face-size enroll (112x92, 256 bits) peaks near 1.6 MB.
+    Orthonormalized columns are drawn straight into the rows that
+    Gram-Schmidt works on and projected from them, one n x m float64
+    array (about 21 MB at face size).
     """
     feature = sobel(image)
     blocks = column_blocks(password, image.n, m, orthonormalize)

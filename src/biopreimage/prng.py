@@ -16,6 +16,10 @@ narrows it 2**30-fold; only a row still open after that is formed in
 full by error-free slicing (:func:`_exact_dots`).  The generator is
 deliberately not cryptographic: the threat model hands the password to
 the attacker anyway.
+
+The draw loop (:func:`_draw_blocks`) mixes and converts each block of
+the stream in place, in buffers it reuses from block to block: a plain
+block it yields is read-only and valid until the next one is drawn.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 #: Stream outputs computed per numpy block by :func:`_draw_blocks`, the
 #: draw loop of :func:`derive_matrix` and of enroll: as many whole
-#: columns as fit (one column when n exceeds it).  Keeps a block's
-#: temporaries near 1.5 MB instead of growing with the matrix.
+#: columns as fit (one column when n exceeds it).  Keeps the draw's
+#: buffers (the counter offsets and two work arrays of uint64) near
+#: 1.5 MB instead of growing with the matrix.
 _DRAW_BLOCK = 1 << 16
 
 #: A column counts as linearly dependent during orthonormalization when
@@ -89,6 +94,19 @@ def derive_seed(password: bytes | str) -> int:
     return fnv1a64(password)
 
 
+def _u64(x: int) -> np.ndarray:
+    # Constants of the block path are 0-d arrays: a ufunc takes one as it
+    # is, where a scalar operand is converted anew at every call, which
+    # costs more than the arithmetic on a block of a few hundred entries.
+    return np.array(x, dtype=np.uint64)
+
+
+#: The xorshift-multiply steps of the splitmix64 output function, then
+#: its last xorshift.
+_MIX_STEPS = ((_u64(30), _u64(0xBF58476D1CE4E5B9)), (_u64(27), _u64(0x94D049BB133111EB)))
+_MIX_LAST_SHIFT = _u64(31)
+
+
 class SplitMix64:
     """splitmix64 stream: state += golden-gamma; output = mixed state.
 
@@ -126,24 +144,63 @@ class SplitMix64:
     def next_u64s(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array, equal to n calls of
         :meth:`next_u64`, which leave the same state behind."""
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.state)
-        t = np.empty_like(z)
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z ^= np.right_shift(z, np.uint64(shift), out=t)
-            z *= np.uint64(mult)
-        z ^= np.right_shift(z, np.uint64(31), out=t)
-        self.state = (self.state + n * _GAMMA) & _MASK64
-        return z
+        z = _offsets(n)
+        return self._mix(z, z, np.empty_like(z))
 
     def fill_column(self, n: int) -> np.ndarray:
         """The next n uniform draws, bit for bit those of n calls of
         :meth:`next_uniform`."""
-        u = self.next_u64s(n).astype(np.float64)
-        u /= 18446744073709551616.0
-        u -= 0.5
-        return u
+        z = self.next_u64s(n)
+        return _uniforms(z, np.empty_like(z), z.view(np.float64))
+
+    def _mix(self, offsets: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Write the next len(z) outputs into z and return it: the block
+        path of :meth:`next_u64s`.  ``offsets`` is :func:`_offsets`
+        ``(len(z))`` and may be z itself; t is scratch of z's size."""
+        np.add(offsets, _u64(self.state), z)
+        for shift, mult in _MIX_STEPS:
+            np.bitwise_xor(z, np.right_shift(z, shift, t), z)
+            np.multiply(z, mult, z)
+        np.bitwise_xor(z, np.right_shift(z, _MIX_LAST_SHIFT, t), z)
+        self.state = (self.state + len(z) * _GAMMA) & _MASK64
+        return z
+
+
+def _offsets(n: int) -> np.ndarray:
+    """The counter offsets k*gamma mod 2**64, k = 1..n, as uint64."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    return np.multiply(z, _u64(_GAMMA), z)
+
+
+#: Bit patterns of 2**20 and 2**-12: or-ed with a value below 2**32 they
+#: give 2**20 + hi * 2**-32 and 2**-12 + lo * 2**-64 exactly.
+_HI_BIAS = _u64(0x4130000000000000)
+_LO_BIAS = _u64(0x3F30000000000000)
+_LOW_32 = _u64(0xFFFFFFFF)
+_SHIFT_32 = _u64(32)
+_BIAS_SUM = np.array(2.0**20 + 2.0**-12)
+_HALF = np.array(0.5)
+
+
+def _uniforms(z: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The draws u / 2**64 - 0.5 of the outputs u in z, bit for bit those
+    of :meth:`SplitMix64.next_uniform`, written into out and returned.
+
+    z and t (scratch) are clobbered; out may be ``z.view(np.float64)``.
+    u = hi * 2**32 + lo is split into its two 32-bit halves, each turned
+    into a double by or-ing it into the significand of a power of two
+    (the exponent-bias form compilers emit; integer and float share their
+    byte order, so no uint32 view of u is needed).  Then
+    (2**20 + hi 2**-32) - (2**20 + 2**-12) is exact, and adding
+    2**-12 + lo 2**-64 rounds u 2**-64 once: the scaled double of u,
+    since no step comes near the subnormals.  This is several times
+    faster than numpy's uint64 to float64 conversion.
+    """
+    np.bitwise_or(np.bitwise_and(z, _LOW_32, t), _LO_BIAS, t)
+    np.bitwise_or(np.right_shift(z, _SHIFT_32, z), _HI_BIAS, z)
+    np.subtract(z.view(np.float64), _BIAS_SUM, out)
+    np.add(out, t.view(np.float64), out)
+    return np.subtract(out, _HALF, out)
 
 
 def _slice_budget(n: int) -> int:
@@ -305,6 +362,31 @@ def _filtered_dots(
     return dots, recut
 
 
+def _exact_norm(v: np.ndarray) -> float:
+    """sqrt(dot(v, v)) as :func:`gram_schmidt` defines it: the exact dot
+    product rounded once, then the correctly rounded square root."""
+    s, g = _split(v, _slice_budget(len(v)) // 2)
+    return math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
+
+
+def _norm_bounds(rows: np.ndarray) -> list[float]:
+    """A float upper bound on the exact norm sqrt(row . row) of each row,
+    from one floating-point dot product per row.
+
+    The terms are non-negative, so in any summation order, with or
+    without fused multiply-adds, the dot s is within gamma_n = n u / (1 -
+    n u) (u = 2**-53) of the exact value relative, plus at most 2**-1075
+    for each of the n products that underflows.  So the exact value is
+    at most (s + n 2**-1074) (1 + n 2**-50): for n below 2**50 the factor
+    covers 1 / (1 - gamma_n), the roundings of the bound itself and the
+    rounding of the exact value to a double.  Its correctly rounded
+    square root is then at least the rounded square root of the exact
+    value rounded once, which is the norm the exact rule uses."""
+    n = rows.shape[1]
+    sums = np.einsum("ij,ij->i", rows, rows)
+    return [math.sqrt((s + n * 2.0**_MIN_GRID) * (1.0 + n * 2.0**-50)) for s in sums.tolist()]
+
+
 def _check_entries(a: np.ndarray) -> None:
     # min and max propagate NaN, which then fails both comparisons
     if a.size and not (-_MAX_ENTRY < a.min() and a.max() < _MAX_ENTRY):
@@ -349,8 +431,13 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     dot product can overflow; other columns raise :class:`SeedError`.
     A column is degenerate when norm is not above ``_DEGENERATE_NORM``
     times sqrt(dot(a, a)), a being the column as it entered (a zero
-    column always is).  ``regenerate``, when given, is called to supply a
-    fresh column in its place; without it the degenerate case raises.
+    column always is).  The exact scale sqrt(dot(a, a)) is formed only
+    when it can decide: a float upper bound on it, from one floating-point
+    dot product of a with itself, settles every column whose norm is
+    above 1e-12 times the bound, which is the same rule's verdict since
+    rounding is monotone.
+    ``regenerate``, when given, is called to supply a fresh column in its
+    place; without it the degenerate case raises.
 
     The input is never modified.  Besides it, the call holds two n x m
     float64 arrays at its peak: a row-major copy of the columns, worked
@@ -363,14 +450,17 @@ def gram_schmidt(columns: np.ndarray, regenerate=None) -> np.ndarray:
     if m > n:
         raise SeedError(f"cannot orthonormalize {m} columns in dimension {n}")
     _check_entries(columns)
-    return np.ascontiguousarray(_orthonormalize_rows(np.array(columns.T, order="C"), regenerate).T)
+    rows = np.array(columns.T, order="C")
+    return np.ascontiguousarray(_orthonormalize_rows(rows, regenerate, lambda j: columns[:, j]).T)
 
 
-def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
+def _orthonormalize_rows(rows: np.ndarray, regenerate, original) -> np.ndarray:
     """:func:`gram_schmidt` of the columns ``rows.T``, given as the rows
     of a C-contiguous (m, n) array with checked entries: orthonormalizes
     the rows in place and returns ``rows`` itself, so that the caller
-    decides whether to pay for a transposed copy."""
+    decides whether to pay for a transposed copy.  ``original(j)``
+    returns row j as it entered; it is called only for a residual that
+    the bound on the column's norm leaves undecided."""
     m, n = rows.shape
     # Each column is a contiguous row, orthogonalized and then normalized
     # in place.  Once q_k is final it is projected out of every later row,
@@ -419,39 +509,63 @@ def _orthonormalize_rows(rows: np.ndarray, regenerate) -> np.ndarray:
         for b in range(lo, hi, _BLOCK):
             project_out(b, min(b + _BLOCK, hi), q, q_sliced, q_max)
 
-    def norm(v):
-        s, g = _split(v, budget // 2)
-        return math.sqrt(_exact_dots(s, g, s[:, None], g)[0])
-
-    scales = [norm(v) for v in rows]
+    # The degenerate rule compares the residual norm with 1e-12 times the
+    # exact norm of the column as it entered.  A float bound decides it
+    # first: tops[j] >= that exact norm (see _norm_bounds), and rounding
+    # is monotone, so a residual norm above 1e-12 * tops[j] is above the
+    # rule's threshold too.  Only a residual norm below it takes the exact
+    # norm of the input column.
+    tops = _norm_bounds(rows)
     scan(0, m)
     attempts = 0
     for j, v in enumerate(rows):
-        scale = scales[j]
-        while (length := norm(v)) <= _DEGENERATE_NORM * scale:
-            attempts += 1
-            if regenerate is None or attempts > 64:
-                raise SeedError("degenerate column during orthonormalization")
-            v[:] = regenerate()
-            _check_entries(v)
-            scale = norm(v)
-            scan(j, j + 1)
-            for q in rows[:j]:
-                project_all(j, j + 1, q)
+        length = _exact_norm(v)
+        if length <= _DEGENERATE_NORM * tops[j]:
+            scale = _exact_norm(original(j))
+            while length <= _DEGENERATE_NORM * scale:
+                attempts += 1
+                if regenerate is None or attempts > 64:
+                    raise SeedError("degenerate column during orthonormalization")
+                v[:] = regenerate()
+                _check_entries(v)
+                scale = _exact_norm(v)
+                scan(j, j + 1)
+                for q in rows[:j]:
+                    project_all(j, j + 1, q)
+                length = _exact_norm(v)
         v /= length
         project_all(j + 1, m, v)
     return rows
 
 
-def _draw_blocks(stream: SplitMix64, n: int, m: int):
+def _draw_blocks(stream: SplitMix64, n: int, m: int, rows: np.ndarray | None = None):
     """The stream's next m columns of n draws, in stream order, as the
     rows of (k, n) blocks of at most ``_DRAW_BLOCK`` entries (a single
     column when n exceeds that); yields (j, block), block[i] being
-    column j + i.  Each block is a fresh array."""
+    column j + i.
+
+    The counter offsets are built once, and every block is mixed and
+    converted in place in the same buffers.  So without ``rows`` each
+    block is a read-only view of one reused buffer: it is valid until
+    the next block is drawn, and a caller that keeps it must copy it.
+    With ``rows``, a C-contiguous (m, n) float64 array, the draws are
+    written straight into it and the blocks are its rows.  The buffers
+    are freed when the loop ends."""
     per_block = max(1, _DRAW_BLOCK // n)
+    offsets = _offsets(min(per_block, m) * n)
+    z, t = np.empty_like(offsets), np.empty_like(offsets)
     for j in range(0, m, per_block):
         k = min(per_block, m - j)
-        yield j, stream.fill_column(k * n).reshape(k, n)
+        if k * n < len(z):  # a short last block
+            offsets, z, t = offsets[: k * n], z[: k * n], t[: k * n]
+        stream._mix(offsets, z, t)
+        if rows is None:
+            block = _uniforms(z, t, z.view(np.float64)).reshape(k, n)
+            block.flags.writeable = False
+        else:
+            block = rows[j : j + k]
+            _uniforms(z, t, block.reshape(-1))
+        yield j, block
 
 
 def column_blocks(password: bytes | str, n: int, m: int, orthonormalize: bool = False):
@@ -460,26 +574,33 @@ def column_blocks(password: bytes | str, n: int, m: int, orthonormalize: bool = 
     iterator of (j, block), block[i] being column j + i.
 
     Plain columns come straight from the stream, one draw block at a
-    time, so a caller that drops each block after use never holds more
-    than ``_DRAW_BLOCK`` entries of the matrix, or one column when n
-    exceeds that.  Orthonormalized columns
-    are drawn into one (m, n) array, orthonormalized in place and yielded
-    as a single block: one n x m float64 array at the peak.  Dimensions
-    are checked, and the orthonormalization done, before this returns.
+    time (:func:`_draw_blocks`): each block is read-only and valid only
+    until the next one, since the next is drawn into the same buffer.
+    So a caller never holds more than ``_DRAW_BLOCK`` entries of the
+    matrix, or one column when n exceeds that.  Orthonormalized columns
+    are drawn straight into one (m, n) array, orthonormalized in place
+    and yielded as a single block: one n x m float64 array at the peak.
+    Dimensions are checked, and the orthonormalization done, before
+    this returns.
     """
     if n < 1 or m < 1:
         raise SeedError(f"matrix dims must be positive, got {n}x{m}")
     if orthonormalize and m > n:
         raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
-    stream = SplitMix64(derive_seed(password))
-    blocks = _draw_blocks(stream, n, m)
+    seed = derive_seed(password)
+    stream = SplitMix64(seed)
     if not orthonormalize:
-        return blocks
+        return _draw_blocks(stream, n, m)
     rows = np.empty((m, n), dtype=np.float64)
-    for j, block in blocks:
-        rows[j : j + len(block)] = block
+    for _ in _draw_blocks(stream, n, m, rows):
+        pass
+
+    def drawn(j):
+        # the stream is counter-based: column j follows the state after j columns
+        return SplitMix64(seed + j * n * _GAMMA).fill_column(n)
+
     # regeneration draws continue the stream after the m columns
-    return iter([(0, _orthonormalize_rows(rows, regenerate=lambda: stream.fill_column(n)))])
+    return iter([(0, _orthonormalize_rows(rows, lambda: stream.fill_column(n), drawn))])
 
 
 def derive_matrix(password: bytes | str, n: int, m: int, orthonormalize: bool = False) -> np.ndarray:

@@ -458,6 +458,16 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: --count must be")
         assert not (tmp_path / "none").exists()
 
+    @pytest.mark.parametrize("width, height", [(0, 2), (2, 0), (-1, 3)])
+    def test_bad_dims_exit_2_without_a_directory(self, tmp_path, capsys, width, height):
+        rc = main([
+            "synth", "--width", str(width), "--height", str(height), "--count", "1",
+            "--out-dir", str(tmp_path / "none"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: image dims must be positive")
+        assert not (tmp_path / "none").exists()
+
     def test_pixel_histogram_uniform(self, tmp_path, capsys):
         rc = main([
             "synth", "--width", "80", "--height", "80", "--count", "1",

@@ -356,16 +356,17 @@ class TestBlockStream:
             (_DRAW_BLOCK + 3, 2),  # one column per block, longer than a block
             (1000, 70),  # 65 columns a block, then a partial block of 5
             (7, 5),  # everything in one block
+            (100, 1500),  # two full blocks in the reused buffers, then a short one
         ],
-        ids=["column-over-block", "partial-last-block", "single-block"],
+        ids=["column-over-block", "partial-last-block", "single-block", "several-blocks"],
     )
     def test_derive_matrix_matches_scalar_fill(self, n, m):
         assert _same_bits(derive_matrix("block-pw", n, m), _scalar_matrix("block-pw", n, m))
 
     def test_blocks_bounded(self, monkeypatch):
         sizes = []
-        fill = SplitMix64.fill_column
-        monkeypatch.setattr(SplitMix64, "fill_column", lambda self, k: sizes.append(k) or fill(self, k))
+        mix = SplitMix64._mix
+        monkeypatch.setattr(SplitMix64, "_mix", lambda self, o, z, t: sizes.append(len(z)) or mix(self, o, z, t))
         derive_matrix("block-pw", 1000, 200)
         assert max(sizes) <= _DRAW_BLOCK and sum(sizes) == 1000 * 200
 
@@ -422,6 +423,138 @@ class TestBlockStream:
         assert _same_bits(got, np.array([scalar.next_uniform() for _ in u]))
         # 0.5 itself is reachable: u rounds up to 2**64 from 2**64 - 2**10 on
         assert got[0] == -0.5 and got[5] < 0.5 and got[6] == 0.5 and got[9] == 0.5
+
+
+#: Outputs u whose uniform draws probe the conversion: exact, halfway
+#: and near-top values.
+_EDGE_U64 = [
+    0, 1, 2**53 + 1, 2**53 + 3, 2**63 + 2**10,
+    2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 2**11 + 2**10, 2**64 - 2**11 - 2**10, 2**64 - 1,
+]
+
+
+def _drawn(stream, n, m, into_rows):
+    """All m columns of _draw_blocks, copied out block by block, as rows."""
+    rows = np.empty((m, n)) if into_rows else None
+    out = np.empty((m, n))
+    for j, block in prng._draw_blocks(stream, n, m, rows):
+        out[j : j + len(block)] = block
+    if into_rows:
+        assert _same_bits(rows, out)
+    return out
+
+
+class TestReusedDraw:
+    @pytest.mark.parametrize("into_rows", [False, True], ids=["plain", "rows"])
+    def test_block_path_conversion_edge_values(self, monkeypatch, into_rows):
+        u = _EDGE_U64 + np.random.default_rng(4).integers(0, 2**64, size=10_000, dtype=np.uint64).tolist()
+        scalar = SplitMix64(0)
+        scalar.next_u64 = iter(u).__next__
+        want = np.array([scalar.next_uniform() for _ in u])
+
+        def mixed(self, offsets, z, t):
+            z[:] = np.array(u, dtype=np.uint64)
+            return z
+
+        monkeypatch.setattr(SplitMix64, "_mix", mixed)
+        # 1001 columns of 10 fit one block, so z holds all of u
+        got = _drawn(SplitMix64(0), 10, len(u) // 10, into_rows).reshape(-1)
+        assert _same_bits(got, want)
+        assert got[0] == -0.5 and got[5] < 0.5 and got[6] == 0.5 and got[9] == 0.5
+
+    def test_next_u64s_longer_than_a_block(self):
+        # as the synth command asks for a 300x300 image
+        n = _DRAW_BLOCK + 5
+        block, scalar = SplitMix64(77), SplitMix64(77)
+        assert block.next_u64s(n).tolist() == [scalar.next_u64() for _ in range(n)]
+        assert block.state == scalar.state
+
+    @pytest.mark.parametrize("into_rows", [False, True], ids=["plain", "rows"])
+    def test_state_after_reused_blocks_continues_the_stream(self, into_rows):
+        # 655 columns a block: two full blocks, then a short one of 190
+        n, m = 100, 1500
+        block, scalar = SplitMix64(31), SplitMix64(31)
+        got = _drawn(block, n, m, into_rows)
+        want = np.array([scalar.next_uniform() for _ in range(n * m)]).reshape(m, n)
+        assert _same_bits(got, want)
+        assert block.state == scalar.state
+        assert np.array_equal(block.fill_column(4), [scalar.next_uniform() for _ in range(4)])
+
+    def test_plain_blocks_are_read_only_views_of_one_buffer(self):
+        blocks = [block for _, block in prng._draw_blocks(SplitMix64(5), 1000, 200)]
+        assert len(blocks) == 4
+        for block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+        assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
+
+
+def _count_exact_norms(monkeypatch):
+    """Record the vector of every prng._exact_norm call."""
+    calls = []
+    exact_norm = prng._exact_norm
+
+    def counted(v):
+        calls.append(np.array(v))
+        return exact_norm(v)
+
+    monkeypatch.setattr(prng, "_exact_norm", counted)
+    return calls
+
+
+class TestLazyScale:
+    def test_face_size_derivation_takes_one_exact_norm_per_column(self, monkeypatch):
+        # the residual norms only: the bound settles every column, where
+        # the exact scale of each input column doubled the count
+        calls = _count_exact_norms(monkeypatch)
+        derive_matrix("lazy-pw", 10304, 256, orthonormalize=True)
+        assert len(calls) == 256
+
+    @pytest.mark.parametrize(
+        "y, exact_path, degenerate",
+        [
+            (np.nextafter(1e-12, 1.0), True, False),  # within the bound, above the rule's threshold
+            (1e-12, True, True),  # on the threshold itself
+            (1e-12 * (1 + 2.0**-40), False, False),  # above the bound: decided without the scale
+        ],
+        ids=["inside-kept", "inside-degenerate", "outside"],
+    )
+    def test_residual_inside_the_bound_takes_the_exact_path(self, monkeypatch, y, exact_path, degenerate):
+        # the second column's residual is (0, y, 0) and its exact scale 1.0
+        cols = np.array([[1.0, 0.0, 0.0], [1.0, y, 0.0]]).T
+        fresh = [np.array([0.0, 0.0, 1.0])]
+        supply = iter([f.copy() for f in fresh])
+        calls = _count_exact_norms(monkeypatch)
+        got = gram_schmidt(cols, regenerate=lambda: next(supply))
+        assert _same_bits(got, _mgs_oracle(cols, fresh if degenerate else ()))
+        assert (next(supply, None) is None) == degenerate
+        assert any(_same_bits(c, cols[:, 1]) for c in calls) == exact_path
+
+    def test_exact_path_redraws_the_input_columns(self, monkeypatch):
+        # with bounds that decide nothing, every column takes the exact
+        # path, which redraws its input column from the counter-based stream
+        want = derive_matrix("redraw-pw", 300, 12, orthonormalize=True)
+        monkeypatch.setattr(prng, "_norm_bounds", lambda rows: [math.inf] * len(rows))
+        calls = _count_exact_norms(monkeypatch)
+        got = derive_matrix("redraw-pw", 300, 12, orthonormalize=True)
+        assert _same_bits(got, want)
+        # residual norm, then the input column's, for each column
+        assert _same_bits(np.array(calls[1::2]), derive_matrix("redraw-pw", 300, 12).T)
+
+    def test_norm_bounds_are_upper_bounds(self):
+        rng = np.random.default_rng(12)
+        rows = rng.uniform(-0.5, 0.5, (40, 50))
+        rows[:4] *= 2.0 ** rng.integers(-1074, 250, (4, 50))  # wide exponent range
+        rows[4] = 5e-324  # every square underflows
+        rows[5] = 0.0
+        tops = prng._norm_bounds(rows)
+        for row, top in zip(rows, tops):
+            exact = sum(Fraction(e) ** 2 for e in row.tolist())
+            assert Fraction(top) ** 2 >= exact
+            assert top >= prng._exact_norm(row)
+        # and tight for ordinary rows
+        assert all(top <= prng._exact_norm(row) * (1 + 2.0**-40) for row, top in zip(rows[6:], tops[6:]))
 
 
 class TestDegenerateThreshold:
@@ -522,10 +655,9 @@ class TestFilteredDots:
     def test_fallback_is_rare(self, monkeypatch):
         calls = _count_exact_dots(monkeypatch)
         derive_matrix("fallback-pw", 2000, 32, orthonormalize=True)
-        # each of the 32 columns takes two norms, one call each; the other
-        # calls are rows that neither cut resolved, out of 32 * 31 / 2
-        # projections
-        assert {len(rows) for rows in calls} == {1} and len(calls) - 64 < 0.05 * 496
+        # each of the 32 columns takes one norm, one call; the other calls
+        # are rows that neither cut resolved, out of 32 * 31 / 2 projections
+        assert {len(rows) for rows in calls} == {1} and len(calls) - 32 < 0.05 * 496
 
 
 def _count_loop_paths(monkeypatch):

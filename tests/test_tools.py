@@ -1,5 +1,6 @@
 """Tests of tools/solve_digests.py, whose digest lines back every claim
-that a change leaves the solver's answers as they were."""
+that a change leaves the solver's answers and the scheme's templates as
+they were."""
 
 import hashlib
 import importlib.util
@@ -82,6 +83,8 @@ def test_default_pytest_selection(monkeypatch, given, selection):
     --pytest "" runs none."""
     calls = []
     monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
+    # the enroll lines, two orthonormalized face-size enrolls, have their own test
+    monkeypatch.setattr(solve_digests, "enroll_lines", lambda biopreimage, workloads: [])
     for name in ("solve_qp", "solve_qcqp"):
         monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
         monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
@@ -95,3 +98,30 @@ def test_default_pytest_selection(monkeypatch, given, selection):
         assert calls == []
     else:
         assert calls == [shlex.split(selection) + ["-q", "-p", "no:cacheprovider"]]
+
+
+#: The pinned enroll lines: a change to the draw or to Gram-Schmidt must
+#: leave every template and the matrix hash as they are.
+ENROLL_LINES = [
+    "enroll 112x92/256 pw=digest-a plain e40465cea09fcd5fb8aebb9faba08ca6e100eb661a6288f616fb3df50c2a014a",
+    "enroll 112x92/256 pw=digest-a orthonormalized e40465cea09fcd5fb8aebb9faba08ca6e120ab661a6288f616fb2df50822014e",
+    "enroll 112x92/256 pw=digest-b plain ede0b2a65d8d40e51d7877db1bd61baf412b00ca3ccb245f6160b9fb9a003bf8",
+    "enroll 112x92/256 pw=digest-b orthonormalized ede0b2a74d8d40e51d7877db9bd61baf412b09ca386b245f6160b9fb9a003bd8",
+    "enroll derive_matrix 10304x256 pw=digest-a plain 9b0926709bba60a3",
+]
+
+
+def test_enroll_lines_come_first_and_are_pinned(monkeypatch, capsys):
+    """With no seeds and no tests the tool prints the enroll lines alone."""
+    for name in ("solve_qp", "solve_qcqp"):
+        monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
+        monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    assert solve_digests.main(["--seeds", "--pytest", ""]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ENROLL_LINES
+    # the matrix line hashes derive_matrix's bytes
+    matrix = biopreimage.derive_matrix("digest-a", 10304, 256)
+    assert lines[-1].endswith(" " + _sha(matrix))

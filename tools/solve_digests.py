@@ -1,10 +1,15 @@
-"""Print one digest line per solve, to show that two checkouts solve alike.
+"""Print one digest line per template and solve, to show that two checkouts
+enroll and solve alike.
 
     python3 tools/solve_digests.py [--root DIR] [--seeds 101 301] [--pytest ARGS]
 
-Every call of ``solver.solve_qp`` and ``solver.solve_qcqp`` prints its
-status, objective, the sha256 of its solution and its certification map,
-labelled with the operation or test that made it.  The solves are those
+The first lines cover the forward scheme (``enroll_lines``): the
+templates of one face-size image (112x92 pixels, 256 bits) under two
+passwords, plain and orthonormalized, and the sha256 of one plain
+derive_matrix of that size, which the draw loop fills in many blocks.
+Then every call of ``solver.solve_qp`` and ``solver.solve_qcqp`` prints
+its status, objective, the sha256 of its solution and its certification
+map, labelled with the operation or test that made it.  The solves are those
 of the checked cycles of attack-desk, attack-repair and attack-scale for
 each seed (inputs from ``perfbench/workloads.py``, which this tool only
 imports), then those of a pytest selection, run in this process.  The
@@ -36,12 +41,37 @@ import shlex
 import sys
 from collections import Counter
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("attack-desk", "attack-repair", "attack-scale")
 DEFAULT_PYTEST = (
     "tests/test_acceptance.py tests/test_solver.py -k "
     "'criterion_2 or criterion_3 or criterion_4 or criterion_5 or criterion_6 or pinned'"
 )
+
+
+#: Passwords of the enroll lines.
+ENROLL_PASSWORDS = ("digest-a", "digest-b")
+
+
+def enroll_lines(biopreimage, workloads) -> list[str]:
+    """The templates of a fixed face-size image under each password,
+    plain then orthonormalized, as hex, and the sha256 of the plain
+    derive_matrix of the first password at that size."""
+    face = workloads.face_image(np.random.default_rng(2021))
+    bits = workloads.FACE_BITS
+    size = f"{face.height}x{face.width}/{bits}"
+    lines = []
+    for pw in ENROLL_PASSWORDS:
+        for ortho in (False, True):
+            template = biopreimage.enroll(face, pw, bits, orthonormalize=ortho)
+            kind = "orthonormalized" if ortho else "plain"
+            lines.append(f"enroll {size} pw={pw} {kind} {template.to_hex()}")
+    matrix = biopreimage.derive_matrix(ENROLL_PASSWORDS[0], face.n, bits)
+    sha = hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
+    lines.append(f"enroll derive_matrix {face.n}x{bits} pw={ENROLL_PASSWORDS[0]} plain {sha}")
+    return lines
 
 
 def digest_line(label: str, report) -> str:
@@ -98,6 +128,7 @@ def main(argv=None) -> int:
     import workloads
     from biopreimage import solver
 
+    lines = enroll_lines(biopreimage, workloads)
     recorder = Recorder(biopreimage, solver)
     for name in WORKLOADS:
         for seed in args.seeds:
@@ -113,7 +144,7 @@ def main(argv=None) -> int:
         os.chdir(root)
         with contextlib.redirect_stdout(sys.stderr):
             status = int(pytest.main(shlex.split(args.pytest) + ["-q", "-p", "no:cacheprovider"]))
-    print("\n".join(recorder.lines))
+    print("\n".join(lines + recorder.lines))
     if status:
         print(f"pytest exited with status {status}", file=sys.stderr)
     return status
