@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prng import _MAX_ENTRY, _MIN_GRID, _exact_dots, _slice_budget, _split, column_blocks
+from .prng import _MAX_ENTRY, _MIN_GRID, _check_count, _exact_dots, _slice_budget, _split, column_blocks
 
 # Horizontal / vertical gradient kernels.  Convolution below flips the
 # kernel, so the raw gradients come out negated relative to plain
@@ -246,16 +246,33 @@ def template_bits(feature: np.ndarray, columns: np.ndarray) -> np.ndarray:
         raise PipelineError(
             f"feature of length {feature.shape} incompatible with columns {columns.shape}"
         )
-    k, n = columns.shape
     if not columns.size:
-        return np.ones(k, dtype=np.uint8)
-    lo, hi = columns.min(), columns.max()
+        return np.ones(columns.shape[0], dtype=np.uint8)
+    return _block_bits(feature, _feature_size(feature), columns)
+
+
+def _feature_size(feature: np.ndarray) -> float:
+    """sum(|f|) of a float64 feature vector, the feature's share of the
+    bound in :func:`template_bits`; raises :class:`PipelineError` unless
+    every entry is finite and below 2**256 in magnitude."""
     size = np.abs(feature)
+    # max propagates NaN, which then fails the comparison
+    if not size.max() < _MAX_ENTRY:
+        raise PipelineError("feature and matrix entries must be finite and below 2**256 in magnitude")
+    return float(size.sum())
+
+
+def _block_bits(feature: np.ndarray, size: float, columns: np.ndarray) -> np.ndarray:
+    """:func:`template_bits` of a non-empty (k, n) float64 block, given the
+    feature's ``_feature_size``, so that a caller with many blocks of one
+    feature forms it once."""
+    k, n = columns.shape
+    lo, hi = columns.min(), columns.max()
     # min and max propagate NaN, which then fails every comparison
-    if not (-_MAX_ENTRY < lo and hi < _MAX_ENTRY and size.max() < _MAX_ENTRY):
+    if not (-_MAX_ENTRY < lo and hi < _MAX_ENTRY):
         raise PipelineError("feature and matrix entries must be finite and below 2**256 in magnitude")
     dots = columns @ feature
-    err = math.ldexp(n * float(size.sum()) * max(hi, -lo), -52) + n * 2.0**_MIN_GRID
+    err = math.ldexp(n * size * max(hi, -lo), -52) + n * 2.0**_MIN_GRID
     bits = (dots >= 0).astype(np.uint8)
     near = np.flatnonzero(np.abs(dots) <= err)
     if near.size:
@@ -286,11 +303,14 @@ def enroll(image: GrayImage, password: bytes | str, m: int, orthonormalize: bool
     Gram-Schmidt works on and projected from them, one n x m float64
     array (about 21 MB at face size).
     """
-    feature = sobel(image)
+    # column_blocks checks m before it draws anything
     blocks = column_blocks(password, image.n, m, orthonormalize)
+    feature = sobel(image)
+    # sum(|f|) is the feature's share of every block's error bound
+    size = _feature_size(feature)
     bits = np.empty(m, dtype=np.uint8)
     for j, block in blocks:
-        bits[j : j + len(block)] = template_bits(feature, block)
+        bits[j : j + len(block)] = _block_bits(feature, size, block)
     return Template(bits)
 
 
@@ -309,6 +329,7 @@ def hamming_distance(t1: Template, t2: Template) -> int:
 
 def verify(t1: Template, t2: Template, threshold: int) -> VerifyDecision:
     """Accept when the Hamming distance is at most the threshold."""
+    _check_count("threshold", threshold, PipelineError)
     if threshold < 0:
         raise PipelineError("threshold must be non-negative")
     d = hamming_distance(t1, t2)

@@ -25,6 +25,7 @@ block it yields is read-only and valid until the next one is drawn.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -84,6 +85,14 @@ def _as_bytes(password: bytes | str) -> bytes:
     if isinstance(password, str):
         password = password.encode("utf-8")
     return password
+
+
+def _check_count(name: str, value, error: type[ValueError] = SeedError) -> None:
+    """Raise ``error`` unless ``value`` is an integer.  A bool is an int
+    subclass but not a count, and numpy would take a float or a bool for
+    a size without complaint, or fail with its own TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def derive_seed(password: bytes | str) -> int:
@@ -583,6 +592,8 @@ def column_blocks(password: bytes | str, n: int, m: int, orthonormalize: bool = 
     Dimensions are checked, and the orthonormalization done, before
     this returns.
     """
+    _check_count("n", n)
+    _check_count("m", m)
     if n < 1 or m < 1:
         raise SeedError(f"matrix dims must be positive, got {n}x{m}")
     if orthonormalize and m > n:

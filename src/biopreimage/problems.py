@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .pipeline import GrayImage, Template, binarize, hamming_distance, project, sobel
-from .prng import derive_matrix
+from .prng import _check_count, derive_matrix
 
 DEFAULT_MARGIN_SCALE = 1e-6
 
@@ -437,6 +437,7 @@ def hamming_center(templates: list[Template], epsilon: int) -> CenterResult:
     (greedily, first occurrence on ties) and the center recomputed until
     the survivors are covered.
     """
+    _check_count("epsilon", epsilon, ProblemError)
     if not templates:
         raise ProblemError("need at least one template")
     if epsilon < 0:
@@ -479,6 +480,8 @@ def independence_probability(n: int, k: int, eta: int) -> float:
 def capacity(n: int, w: int) -> int:
     """How many victims of template size w a single n-pixel image can
     plausibly cover at once: floor(n / w)."""
+    _check_count("n", n, ProblemError)
+    _check_count("w", w, ProblemError)
     if n < 1 or w < 1:
         raise ProblemError("n and w must be positive")
     return n // w

@@ -26,8 +26,10 @@ Two engines:
   candidate and the lowest objective.  A move changes only the features
   around its pixels, so the repair scores each candidate from those
   features alone.  Each kind of move is one group: one read-only table
-  of its pixel tuples, steps, footprints and exact changes of u and v,
-  in which any (tuple, step) is one index.  A repair accepts at most
+  of its pixel tuples, steps, footprints and exact changes of u and v
+  (int8, 256 bytes per pixel for the single moves), in which any
+  (tuple, step) is one index.  The tables are built, and a sweep
+  scores them, in slices of 2,048 candidates.  A repair accepts at most
   ``repair_budget`` moves.  The best certificate of all restarts gets a last
   repair and, on images of at most 13 pixels, a window polish that
   searches the whole integer box around it, split into two halves of
@@ -872,8 +874,12 @@ _TRIPLE_STEPS = np.array(
 _PAIR_MOVE_LIMIT = 64
 _TRIPLE_MOVE_LIMIT = 24
 #: Candidates (pixel tuples x steps) the repair scores at once: it takes a
-#: move group in slices of ``_MOVE_CHUNK // len(steps)`` tuples.
-_MOVE_CHUNK = 8_192
+#: move group in slices of ``_MOVE_CHUNK // len(steps)`` tuples, and
+#: :class:`_MoveGroup` builds its tables in the same slices.  A sign
+#: scorer's slice holds a few (tuples, steps, bits) float64 arrays; at
+#: 112x92/256 a slice is 128 single-move tuples x 16 steps, 4 MiB per
+#: array.  The answer does not depend on this size.
+_MOVE_CHUNK = 2_048
 
 
 class _MoveGroup:
@@ -884,29 +890,56 @@ class _MoveGroup:
     footprint).  The footprint axis is padded to the group's widest, and
     padding slots change nothing, so (tuple, step) indexes any candidate of
     the group.  All arrays are read-only: back-to-back solves of one image
-    shape share the groups."""
+    shape share the groups.
+
+    ``du`` and ``dv`` are int8: each entry is a sum of integer steps times
+    integer kernel entries, at most 16 in magnitude for the step sets
+    here, and construction checks that every one fits.  Added to the
+    float64 u and v they give the same exact integers as float64 tables
+    would, at one byte each: single moves take 16 steps x 8 footprint
+    slots x 2 tables = 256 bytes per pixel, 2.5 MiB at 112x92.  The
+    tables are built ``_MOVE_CHUNK // len(steps)`` tuples at a time."""
 
     def __init__(self, stencil, tuples, steps):
         n = stencil.n
+        count, size = tuples.shape
         # A pixel's adjoint row lists the features it feeds, n off the image.
-        feats = stencil.adjoint[tuples].reshape(tuples.shape[0], -1)
-        feats.sort(axis=1)
+        slots = stencil.adjoint[tuples].reshape(count, -1)
+        feats = np.sort(slots, axis=1)
         # Union: repeats become padding, which the second sort moves last.
         feats[:, 1:][feats[:, 1:] == feats[:, :-1]] = n
         feats.sort(axis=1)
-        feats = feats[:, : int((feats < n).sum(axis=1).max(initial=0))]
+        width = int((feats < n).sum(axis=1).max(initial=0))
+        feats = feats[:, :width]
+        shape = (count, len(steps), width)
+        self.du, self.dv = np.empty(shape, np.int8), np.empty(shape, np.int8)
+        stepf = steps.astype(np.float64)
+        limit = np.iinfo(np.int8)
+        per = max(1, _MOVE_CHUNK // len(steps))
+        for lo in range(0, count, per):
+            sl = slice(lo, lo + per)
+            row = np.arange(feats[sl].shape[0])[:, None]
+            # Each slot's place in its tuple's footprint: shifted by n + 1
+            # per row, the sorted footprints form one sorted array.
+            key = row * (n + 1)
+            place = np.searchsorted((feats[sl] + key).ravel(), slots[sl] + key) - row * width
+            # Operator entries (A1 or A2, tuple, pixel, footprint).  A pixel
+            # feeds each feature through one slot at most, so every slot on
+            # the image writes its own entry.
+            t, j = np.nonzero(slots[sl] < n)
+            pixel, slot = np.divmod(j, len(stencil.weights))
+            entry = np.zeros((2, row.shape[0], size, width))
+            entry[:, t, pixel, place[t, j]] = stencil.weights[slot].T
+            for table, part in zip((self.du, self.dv), entry):
+                # Integer steps times integer kernel entries: exact in any order.
+                change = stepf @ part
+                if change.size and not (limit.min <= change.min() and change.max() <= limit.max):
+                    raise SolverError("a move changes a feature by more than an int8 holds")
+                table[sl] = change
         self.tuples = tuples
         self.steps = steps
         self.valid = feats < n
         self.feats = np.where(self.valid, feats, 0)
-        # Operator entries (feature, pixel), shape (tuples, pixels,
-        # footprint, 2).
-        entry = stencil.entries(self.feats[:, None, :], tuples[:, :, None])
-        entry *= self.valid[:, None, :, None]
-        stepf = steps.astype(np.float64)
-        # Integer steps times integer kernel entries: exact in any order.
-        self.du = stepf @ entry[..., 0]
-        self.dv = stepf @ entry[..., 1]
         for a in (self.tuples, self.steps, self.valid, self.feats, self.du, self.dv):
             a.flags.writeable = False
 
@@ -917,7 +950,9 @@ def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
     small enough.  They depend on the image shape alone; the groups of the
     last shape are kept, so back-to-back solves of one shape build them
     once.  Keeping more shapes would hold their tables through every other
-    solve and raise peak memory."""
+    solve and raise peak memory.  At 112x92 (single moves only) the group
+    holds about 3.3 MiB, 2.5 MiB of it the int8 ``du``/``dv`` tables; at
+    4x6 all three groups hold about 1.5 MiB."""
     stencil = SobelStencil(height, width)
     n = stencil.n
     groups = [(np.arange(n)[:, None], _SINGLE_STEPS)]

@@ -17,6 +17,7 @@ import biopreimage
 from biopreimage import (
     GrayImage,
     PipelineError,
+    SeedError,
     Template,
     binarize,
     convolve,
@@ -341,6 +342,16 @@ class TestEnroll:
         with pytest.raises((PipelineError, ValueError)):
             enroll(img, "pw", 0)
 
+    @pytest.mark.parametrize("m", [True, 1.5, 16.0, None])
+    def test_rejects_bool_or_non_integral_m(self, m, monkeypatch):
+        # the check comes before the features or any column
+        monkeypatch.setattr(biopreimage.pipeline, "sobel", lambda image: pytest.fail("ran sobel"))
+        monkeypatch.setattr(biopreimage.prng, "derive_seed", lambda password: pytest.fail("derived a seed"))
+        img = GrayImage.from_flat(2, 2, [10, 200, 35, 90])
+        for ortho in (False, True):
+            with pytest.raises(SeedError, match="m must be an integer"):
+                enroll(img, "pw", m, orthonormalize=ortho)
+
     @pytest.mark.parametrize(
         "h, w, m, ortho",
         [
@@ -413,6 +424,13 @@ class TestVerify:
         assert verify(t1, t2, 2).accepted
         assert not verify(t1, t2, 1).accepted
         assert verify(t1, t2, 1).distance == 2
+
+    @pytest.mark.parametrize("threshold", [1.5, 2.0, True, False, "2", None])
+    def test_rejects_bool_or_non_integral_threshold(self, threshold):
+        t = Template.from_bitstring("10101")
+        with pytest.raises(PipelineError, match="threshold must be an integer"):
+            verify(t, t, threshold)
+        assert verify(t, t, np.int64(0)).accepted
 
     def test_hamming_axioms_fuzz(self):
         rng = np.random.default_rng(23)

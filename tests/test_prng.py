@@ -203,6 +203,23 @@ class TestDeriveMatrix:
         with pytest.raises(SeedError):
             derive_matrix("pw", 4, 0)
 
+    @pytest.mark.parametrize("n, m", [(10, True), (True, 4), (10, 1.5), (10.0, 4), (4, np.float64(2.0))])
+    def test_rejects_bool_or_non_integral_dims(self, n, m, monkeypatch):
+        # the check comes before the password is hashed or anything drawn
+        monkeypatch.setattr(prng, "derive_seed", lambda password: pytest.fail("derived a seed"))
+        with pytest.raises(SeedError, match="must be an integer"):
+            derive_matrix("pw", n, m)
+
+    @pytest.mark.parametrize("n, m", [(10, True), (True, 4), (10, 1.5), (10.0, 4)])
+    def test_column_blocks_rejects_bool_or_non_integral_dims(self, n, m, monkeypatch):
+        monkeypatch.setattr(prng, "derive_seed", lambda password: pytest.fail("derived a seed"))
+        for ortho in (False, True):
+            with pytest.raises(SeedError, match="must be an integer"):
+                prng.column_blocks("pw", n, m, ortho)
+
+    def test_numpy_integer_dims_accepted(self):
+        assert np.array_equal(derive_matrix("pw", np.int64(5), np.int32(3)), derive_matrix("pw", 5, 3))
+
     def test_golden_entries(self):
         mat = derive_matrix("golden-password", 4, 3)
         want_col0 = [

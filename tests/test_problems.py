@@ -337,6 +337,13 @@ class TestHammingCenter:
                 [Template.from_bitstring("10"), Template.from_bitstring("101")], 1
             )
 
+    @pytest.mark.parametrize("epsilon", [True, 1.5, 1.0, None])
+    def test_rejects_bool_or_non_integral_epsilon(self, epsilon):
+        ts = [Template.from_bitstring("1010"), Template.from_bitstring("1001")]
+        with pytest.raises(ProblemError, match="epsilon must be an integer"):
+            hamming_center(ts, epsilon)
+        assert hamming_center(ts, np.int64(2)).members == (0, 1)
+
     def test_blocks_keep_the_first_minimum(self, monkeypatch):
         # Blocks of 4 codes split every search with more than 2
         # disagreeing bits, so ties straddle block boundaries.
@@ -399,6 +406,11 @@ class TestCapacityAnalysis:
         assert capacity(7, 8) == 0
         with pytest.raises(ProblemError):
             capacity(0, 4)
+
+    @pytest.mark.parametrize("n, w", [(10, True), (True, 1), (10, 2.0), (10.5, 2), (10, None)])
+    def test_capacity_rejects_bool_or_non_integral_args(self, n, w):
+        with pytest.raises(ProblemError, match="must be an integer"):
+            capacity(n, w)
 
 
 class TestJson:

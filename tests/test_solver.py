@@ -880,6 +880,7 @@ class TestFootprintScoring:
             widths = touched[:, group.tuples].any(axis=2).sum(axis=0)
             assert group.feats.shape == group.valid.shape == (size, widths.max())
             assert group.du.shape == group.dv.shape == (size, steps, widths.max())
+            assert group.du.dtype == group.dv.dtype == np.int8
             edges = [t for sl in _slices(group)[1:] for t in (sl.start - 1, sl.start)]
             for t in [*edges, *rng.integers(size, size=20)]:
                 k = int(rng.integers(steps))
@@ -982,7 +983,13 @@ def _repair_case(kind, seed, delta=None):
         victim = GrayImage(6, 1, np.array([[100, 96, 103, 99, 100, 96]]))
         problem = build_image_phase(_noise(rng, 1, 6), sobel(victim))
     else:
-        h, w, bits = {"merged-2x3": (2, 3, 20), "merged-4x6": (4, 6, 20), "merged-5x5": (5, 5, 20)}[kind]
+        h, w, bits = {
+            "merged-2x3": (2, 3, 20),
+            "merged-2x5": (2, 5, 20),
+            "merged-4x6": (4, 6, 20),
+            "merged-5x5": (5, 5, 20),
+            "merged-8x8": (8, 8, 20),
+        }[kind]
         victim = _noise(rng, h, w)
         problem = build_merged(_noise(rng, h, w), enroll(victim, "pw", bits), password=b"pw", delta=delta)
     scorer = _FeatureScorer(problem) if kind.startswith("image") else _SignScorer(problem)
@@ -1148,6 +1155,103 @@ class TestRepair:
                 walk.apply(*keep[int(rng.integers(len(keep)))])
         assert clean >= 6
         assert seen == {True, False}
+
+
+class TestMoveSlices:
+    @pytest.mark.parametrize(
+        "kind,groups",
+        [("merged-2x5", 3), ("merged-4x6", 3), ("merged-8x8", 2), ("image-row", 3)],
+    )
+    def test_repair_independent_of_slice_size(self, kind, groups, monkeypatch):
+        """Slices of one tuple (the chunk at a group's step count or
+        below), of an odd 37 candidates and of the default give the same
+        pixels, score and certificate, through the same moves, on clean
+        and on dirty sweeps."""
+        scorer, starts = _repair_case(kind, 181)
+        assert len(scorer.move_groups) == groups
+        sweeps = set()
+        for name in ("clean_feasible", "local_scores"):
+            scored = getattr(scorer, name)
+
+            def counted(*args, scored=scored, name=name):
+                sweeps.add(name)
+                return scored(*args)
+
+            setattr(scorer, name, counted)
+        moves = []
+        apply = _RepairState.apply
+
+        def logged(state, group, t, step):
+            moves.append((scorer.move_groups.index(group), t, step))
+            return apply(state, group, t, step)
+
+        monkeypatch.setattr(_RepairState, "apply", logged)
+
+        def repairs(chunk):
+            monkeypatch.setattr(solver_module, "_MOVE_CHUNK", chunk)
+            out = []
+            for pixels in starts:
+                moves.clear()
+                out.append((solver_module._repair(scorer, pixels, 30, np.inf), list(moves)))
+            return out
+
+        want = repairs(_MOVE_CHUNK)
+        assert sweeps == {"clean_feasible", "local_scores"}
+        assert any(want_moves for _, want_moves in want)
+        chunks = sorted({len(g.steps) for g in scorer.move_groups}) + [37]
+        for chunk in chunks:
+            for (got, got_moves), (repair, want_moves) in zip(repairs(chunk), want):
+                _same_repair(got, repair)
+                assert got_moves == want_moves
+
+
+_MIB = 1 << 20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMoveTableMemory:
+    def test_face_size_tables(self):
+        (singles,) = _move_groups(112, 92)
+        assert singles.du.nbytes + singles.dv.nbytes <= 3 * _MIB
+
+    def test_changes_past_int8_are_refused(self):
+        stencil = SobelStencil(3, 3)
+        pixels = np.arange(9)[:, None]
+        # kernel entries of +-2 times 63 fit in an int8, times 64 do not
+        group = solver_module._MoveGroup(stencil, pixels, np.array([[63], [-63]]))
+        assert group.du.max() == 126 and group.du.min() == -126
+        for step in (64, -64):
+            with pytest.raises(SolverError, match="int8"):
+                solver_module._MoveGroup(stencil, pixels, np.array([[step]]))
+
+    def test_small_image_build_peak(self):
+        _move_groups.cache_clear()
+        assert _traced_peak(lambda: _move_groups(4, 6)) <= 4 * _MIB
+
+    def test_face_size_scoring_slice_peak(self):
+        """One slice of a face-size single-move sweep, clean and dirty,
+        against 256 bits: its (tuples, steps, bits) transients."""
+        rng = np.random.default_rng(191)
+        h, w, bits = 112, 92, 256
+        anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+        matrix = rng.uniform(-0.5, 0.5, size=(h * w, bits))
+        problem = build_merged(anchor, Template(rng.integers(0, 2, size=bits)), matrix=matrix)
+        scorer = _SignScorer(problem)
+        state = _RepairState(scorer, rng.integers(0, 256, size=h * w))
+        (group,) = scorer.move_groups
+        sl = _slices(group)[1]
+        local = (state, group.feats[sl], group.du[sl], group.dv[sl])
+        assert _traced_peak(lambda: state.moves(group, sl)) <= _MIB
+        assert _traced_peak(lambda: scorer.clean_feasible(*local)) <= 8 * _MIB
+        assert _traced_peak(lambda: scorer.local_scores(*local)) <= 8 * _MIB
 
 
 # ---------------------------------------------------------------------------
