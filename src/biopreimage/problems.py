@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .pipeline import GrayImage, Template, binarize, hamming_distance, project, sobel
-from .prng import _check_count, derive_matrix
+from .prng import _as_bytes, _check_count, derive_matrix
 
 DEFAULT_MARGIN_SCALE = 1e-6
 
@@ -202,8 +202,7 @@ def _constraint_set(
     password's derivation: the archive stores only the password, and
     certification projects through the stored matrix in its place.
     """
-    if isinstance(password, str):
-        password = password.encode("utf-8")
+    password = _as_bytes(password)
     shape = (n, len(template))
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -466,6 +465,8 @@ def independence_probability(n: int, k: int, eta: int) -> float:
     Product over i = 2..k of (2^(eta(n-i+1)) - 1) / 2^(eta(n-i+1)),
     evaluated in log space; the empty product (k = 1) is 1.
     """
+    for name, value in (("n", n), ("k", k), ("eta", eta)):
+        _check_count(name, value, ProblemError)
     if n < 1 or k < 1 or eta < 1:
         raise ProblemError("n, k, eta must be positive")
     log_p = 0.0

@@ -39,7 +39,8 @@ Two engines:
 Every stage applies the two Sobel convolutions through
 :class:`SobelStencil`: 8-slot gather tables (the ELL sparse format), so
 memory stays O(n) and no dense n x n operator is built; the window
-polish takes the operator columns of its halves from the stencil too.
+polish and the repair's move tables take their operator entries from
+the stencil too.
 The repair's gradients of integer pixels are exact in any order, but the
 continuous stage still sums each slot product as a BLAS call, so its
 iterates are not yet independent of the BLAS build.
@@ -90,6 +91,7 @@ from .pipeline import (
     sobel,
     template_bits,
 )
+from .prng import _check_count
 from .problems import AttackProblem, ProblemKind, SignConstraintSet
 
 _PIXEL_SCALE = 255.0
@@ -142,11 +144,8 @@ class SolverConfig:
     def __post_init__(self):
         # A JSON config file can hold a string, null, bool or float for any
         # field; reject the wrong kind here, not with a TypeError mid-solve.
-        # bool is an int subclass.
         for name in ("max_outer_iterations", "repair_budget", "rng_seed", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SolverError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, getattr(self, name), SolverError)
         if isinstance(self.time_limit, bool) or not isinstance(self.time_limit, numbers.Real):
             raise SolverError(f"time_limit must be a number, got {self.time_limit!r}")
         # NaN compares False with everything, so it would slip past the
@@ -902,15 +901,18 @@ class _MoveGroup:
 
     def __init__(self, stencil, tuples, steps):
         n = stencil.n
-        count, size = tuples.shape
+        count = tuples.shape[0]
         # A pixel's adjoint row lists the features it feeds, n off the image.
-        slots = stencil.adjoint[tuples].reshape(count, -1)
-        feats = np.sort(slots, axis=1)
+        feats = np.sort(stencil.adjoint[tuples].reshape(count, -1), axis=1)
         # Union: repeats become padding, which the second sort moves last.
         feats[:, 1:][feats[:, 1:] == feats[:, :-1]] = n
         feats.sort(axis=1)
         width = int((feats < n).sum(axis=1).max(initial=0))
         feats = feats[:, :width]
+        valid = feats < n
+        # Padding as feature -1, which no pixel feeds: as n it would match
+        # the off-image slots.
+        footprint = np.where(valid, feats, -1)
         shape = (count, len(steps), width)
         self.du, self.dv = np.empty(shape, np.int8), np.empty(shape, np.int8)
         stepf = steps.astype(np.float64)
@@ -918,18 +920,8 @@ class _MoveGroup:
         per = max(1, _MOVE_CHUNK // len(steps))
         for lo in range(0, count, per):
             sl = slice(lo, lo + per)
-            row = np.arange(feats[sl].shape[0])[:, None]
-            # Each slot's place in its tuple's footprint: shifted by n + 1
-            # per row, the sorted footprints form one sorted array.
-            key = row * (n + 1)
-            place = np.searchsorted((feats[sl] + key).ravel(), slots[sl] + key) - row * width
-            # Operator entries (A1 or A2, tuple, pixel, footprint).  A pixel
-            # feeds each feature through one slot at most, so every slot on
-            # the image writes its own entry.
-            t, j = np.nonzero(slots[sl] < n)
-            pixel, slot = np.divmod(j, len(stencil.weights))
-            entry = np.zeros((2, row.shape[0], size, width))
-            entry[:, t, pixel, place[t, j]] = stencil.weights[slot].T
+            # (A1 or A2, tuple, pixel, footprint)
+            entry = np.moveaxis(stencil.entries(footprint[sl, None], tuples[sl, :, None]), -1, 0)
             for table, part in zip((self.du, self.dv), entry):
                 # Integer steps times integer kernel entries: exact in any order.
                 change = stepf @ part
@@ -938,21 +930,21 @@ class _MoveGroup:
                 table[sl] = change
         self.tuples = tuples
         self.steps = steps
-        self.valid = feats < n
-        self.feats = np.where(self.valid, feats, 0)
+        self.valid = valid
+        self.feats = np.where(valid, feats, 0)
         for a in (self.tuples, self.steps, self.valid, self.feats, self.du, self.dv):
             a.flags.writeable = False
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
     """Single moves, then pair moves and triple moves where the image is
     small enough.  They depend on the image shape alone; the groups of the
-    last shape are kept, so back-to-back solves of one shape build them
-    once.  Keeping more shapes would hold their tables through every other
-    solve and raise peak memory.  At 112x92 (single moves only) the group
-    holds about 3.3 MiB, 2.5 MiB of it the int8 ``du``/``dv`` tables; at
-    4x6 all three groups hold about 1.5 MiB."""
+    last two shapes are kept, so solves that alternate between two shapes
+    (2x5 and 4x4 hold under 0.5 MiB together) build them once.  Every kept
+    shape holds its tables through the other's solves: at 112x92 (single
+    moves only) the group holds about 3.3 MiB, 2.5 MiB of it the int8
+    ``du``/``dv`` tables; at 4x6 all three groups hold about 1.4 MiB."""
     stencil = SobelStencil(height, width)
     n = stencil.n
     groups = [(np.arange(n)[:, None], _SINGLE_STEPS)]

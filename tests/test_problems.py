@@ -400,6 +400,14 @@ class TestCapacityAnalysis:
         with pytest.raises(ProblemError):
             independence_probability(1, 1, 0)
 
+    @pytest.mark.parametrize(
+        "n, k, eta",
+        [(10, True, 1), (True, 2, 1), (10, 2, True), (10.5, 2, 1), (10.0, 2, 1), (10, 2.0, 1), (10, 2, 1.0)],
+    )
+    def test_probability_rejects_bool_or_non_integral_args(self, n, k, eta):
+        with pytest.raises(ProblemError, match="must be an integer"):
+            independence_probability(n, k, eta)
+
     def test_capacity_values(self):
         assert capacity(16, 8) == 2
         assert capacity(256, 16) == 16

@@ -864,7 +864,7 @@ class TestFootprintScoring:
             assert np.array_equal(state.u, a1 @ xf)
             assert np.array_equal(state.v, a2 @ xf)
 
-    @pytest.mark.parametrize("h,w,groups", [(2, 5, 3), (4, 6, 3), (8, 8, 2)])
+    @pytest.mark.parametrize("h,w,groups", [(2, 5, 3), (4, 4, 3), (4, 6, 3), (8, 8, 2), (1, 7, 3)])
     def test_groups_gather_any_candidate_by_index(self, h, w, groups):
         """Random global (tuple, step) indices of each move group, some on
         either side of a scoring slice's edge, gather the union footprint
@@ -1231,6 +1231,14 @@ class TestMoveTableMemory:
         for step in (64, -64):
             with pytest.raises(SolverError, match="int8"):
                 solver_module._MoveGroup(stencil, pixels, np.array([[step]]))
+
+    def test_two_shapes_kept(self):
+        """A desk cycle alternates 2x5 and 4x4 solves; neither shape's
+        groups are rebuilt when the other's are built."""
+        _move_groups.cache_clear()
+        for shape in ((2, 5), (4, 4), (2, 5)):
+            _move_groups(*shape)
+        assert _move_groups.cache_info().misses == 2
 
     def test_small_image_build_peak(self):
         _move_groups.cache_clear()

@@ -110,9 +110,26 @@ ENROLL_LINES = [
     "enroll derive_matrix 10304x256 pw=digest-a plain 9b0926709bba60a3",
 ]
 
+#: The pinned table lines: a change to how the repair builds its move
+#: tables must leave every group's bytes as they are, face size included.
+TABLE_LINES = [
+    "table 2x5 group=0 06ed8eaca752721b",
+    "table 2x5 group=1 fd54d9bec733ed9e",
+    "table 2x5 group=2 e601738bef39a4cd",
+    "table 4x4 group=0 16f0ccadb7ddf515",
+    "table 4x4 group=1 4c953326da633707",
+    "table 4x4 group=2 d8717f8871581335",
+    "table 4x6 group=0 ffcd789b0dfd3ef4",
+    "table 4x6 group=1 185bb720514f5ff1",
+    "table 4x6 group=2 3264de911a46133b",
+    "table 16x16 group=0 8e47936a9a4940a9",
+    "table 112x92 group=0 b1db2a5b3cc3844e",
+]
+
 
 def test_enroll_lines_come_first_and_are_pinned(monkeypatch, capsys):
-    """With no seeds and no tests the tool prints the enroll lines alone."""
+    """With no seeds and no tests the tool prints the enroll lines and
+    the table lines alone."""
     for name in ("solve_qp", "solve_qcqp"):
         monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
         monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
@@ -121,7 +138,11 @@ def test_enroll_lines_come_first_and_are_pinned(monkeypatch, capsys):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     assert solve_digests.main(["--seeds", "--pytest", ""]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ENROLL_LINES
+    assert lines == ENROLL_LINES + TABLE_LINES
     # the matrix line hashes derive_matrix's bytes
     matrix = biopreimage.derive_matrix("digest-a", 10304, 256)
-    assert lines[-1].endswith(" " + _sha(matrix))
+    assert lines[len(ENROLL_LINES) - 1].endswith(" " + _sha(matrix))
+    # a table line hashes its group's tables in order
+    (group,) = solver_module._move_groups(112, 92)
+    tables = (group.tuples, group.steps, group.feats, group.valid, group.du, group.dv)
+    assert lines[-1].endswith(" " + hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest()[:16])

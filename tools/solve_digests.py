@@ -7,9 +7,12 @@ The first lines cover the forward scheme (``enroll_lines``): the
 templates of one face-size image (112x92 pixels, 256 bits) under two
 passwords, plain and orthonormalized, and the sha256 of one plain
 derive_matrix of that size, which the draw loop fills in many blocks.
-Then every call of ``solver.solve_qp`` and ``solver.solve_qcqp`` prints
-its status, objective, the sha256 of its solution and its certification
-map, labelled with the operation or test that made it.  The solves are those
+Next come the integer repair's move tables (``table_lines``): one sha256
+per move group of the image shapes in ``TABLE_SHAPES``, 112x92 among
+them, a size at which no solve below runs.  Then every call of
+``solver.solve_qp`` and ``solver.solve_qcqp`` prints its status,
+objective, the sha256 of its solution and its certification map,
+labelled with the operation or test that made it.  The solves are those
 of the checked cycles of attack-desk, attack-repair and attack-scale for
 each seed (inputs from ``perfbench/workloads.py``, which this tool only
 imports), then those of a pytest selection, run in this process.  The
@@ -74,6 +77,24 @@ def enroll_lines(biopreimage, workloads) -> list[str]:
     return lines
 
 
+#: Image shapes of the table lines: attack-desk's two, attack-repair's,
+#: attack-scale's merged solves, and the face size.
+TABLE_SHAPES = ((2, 5), (4, 4), (4, 6), (16, 16), (112, 92))
+
+
+def table_lines(solver) -> list[str]:
+    """The sha256 of each move group's tables (tuples, steps, feats,
+    valid, du, dv) for every shape of ``TABLE_SHAPES``."""
+    lines = []
+    for height, width in TABLE_SHAPES:
+        for k, group in enumerate(solver._move_groups(height, width)):
+            sha = hashlib.sha256()
+            for table in (group.tuples, group.steps, group.feats, group.valid, group.du, group.dv):
+                sha.update(table.tobytes())
+            lines.append(f"table {height}x{width} group={k} {sha.hexdigest()[:16]}")
+    return lines
+
+
 def digest_line(label: str, report) -> str:
     """Status, objective, solution sha256 and certification of a report."""
     solution = report.solution
@@ -128,7 +149,7 @@ def main(argv=None) -> int:
     import workloads
     from biopreimage import solver
 
-    lines = enroll_lines(biopreimage, workloads)
+    lines = enroll_lines(biopreimage, workloads) + table_lines(solver)
     recorder = Recorder(biopreimage, solver)
     for name in WORKLOADS:
         for seed in args.seeds:
