@@ -15,11 +15,12 @@ Two engines:
   inequalities, whose margin is inflated so that the rounding lands
   inside the sign cone.  Each outer round binds its objective once
   (the models' ``objective``: a value function and a gradient function
-  with the round's multipliers, penalty and the stencil's bound methods
-  as closure locals), and its inner loop, spectral projected gradient,
-  costs one forward pass per trial point and one backward pass per
-  accepted point.  The rounded pass goes through a greedy
-  integer repair over single-pixel moves and, on small images,
+  with the round's multipliers, penalty, scratch buffers and the
+  stencil's arrays as closure locals), and its inner loop, spectral
+  projected gradient, costs one forward pass per trial point and one
+  backward pass per accepted point but the last.  The rounded pass
+  goes through a greedy integer repair over single-pixel moves and, on
+  small images,
   coordinated two- and three-pixel moves, scored by (mismatched bits,
   constraint violation, objective); from a state with neither
   mismatches nor violation that rule reduces to one feasibility test per
@@ -236,9 +237,8 @@ _TAPS = np.argwhere(_FLIPPED.any(axis=-1))
 
 
 @lru_cache(maxsize=64)
-def _stencil_tables(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only forward and adjoint tables of :class:`SobelStencil`, and
-    the adjoint's positions in a flattened (n + 1, 2) buffer."""
+def _stencil_tables(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only forward and adjoint tables of :class:`SobelStencil`."""
     n = height * width
     row, col = np.divmod(np.arange(n), width)
     tables = []
@@ -246,12 +246,11 @@ def _stencil_tables(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np
         r = row[:, None] + sign * (_TAPS[:, 0] - 1)
         c = col[:, None] + sign * (_TAPS[:, 1] - 1)
         inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
-        tables.append(np.where(inside, r * width + c, n))
+        table = np.where(inside, r * width + c, n)
+        table.flags.writeable = False
+        tables.append(table)
     forward, adjoint = tables
-    pairs = (2 * adjoint[:, :, None] + np.arange(2)).reshape(n, -1)
-    for t in (forward, adjoint, pairs):
-        t.flags.writeable = False
-    return forward, adjoint, pairs
+    return forward, adjoint
 
 
 class SobelStencil:
@@ -266,22 +265,27 @@ class SobelStencil:
     n, a zero sentinel.
 
     ``apply`` and ``transpose`` pad their input into buffers the instance
-    owns, so an instance serves one caller at a time.
+    owns, so an instance serves one caller at a time.  ``transpose``
+    gathers both columns of a row of its (n + 1, 2) buffer at once,
+    through ``_r_pairs``, a view that reads each row as one complex128
+    (a copy of its two floats, bit for bit), and sums the (n, 8, 2)
+    gather against ``weights`` flattened to 16 entries.
     """
 
     weights = _FLIPPED[_TAPS[:, 0], _TAPS[:, 1]]
     weights.flags.writeable = False
     _pair_weights = weights.reshape(-1)
+    _int8_weights = weights.astype(np.int8)
 
     def __init__(self, height: int, width: int):
         n = height * width
         self.n = n
-        self.forward, self.adjoint, self._pair_index = _stencil_tables(height, width)
+        self.forward, self.adjoint = _stencil_tables(height, width)
         x_pad, r_pad = np.zeros(n + 1), np.zeros((n + 1, 2))
         # apply and transpose write their input into the first n rows; the
         # last row is the sentinel and stays zero.
         self._x_pad, self._x_head = x_pad, x_pad[:n]
-        self._r_flat, self._r_head = r_pad.reshape(-1), r_pad[:n]
+        self._r_pairs, self._r_head = r_pad.view(np.complex128)[:, 0], r_pad[:n]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(n, 2) array whose columns are u = A1 x and v = A2 x."""
@@ -292,13 +296,18 @@ class SobelStencil:
         """A1^T (scale * r[:, 0]) + A2^T (scale * r[:, 1]) for an (n, 2)
         array r and a length-n ``scale``."""
         np.multiply(r, scale[:, None], out=self._r_head)
-        return np.dot(self._r_flat[self._pair_index], self._pair_weights)
+        return np.dot(self._r_pairs[self.adjoint].view(np.float64), self._pair_weights)
 
     def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Operator entries (A1[f, p], A2[f, p]) for broadcast index
-        arrays ``features`` and ``pixels``; shape (..., 2)."""
+        arrays ``features`` and ``pixels``; shape (..., 2).
+
+        The one-hot of matching slots is multiplied in int8, one byte per
+        (index, slot): at most one slot of a pixel feeds a given feature
+        and every weight is at most 2 in magnitude, so the int8 sums are
+        the entries exactly."""
         hit = self.adjoint[pixels] == np.asarray(features)[..., None]
-        return hit.astype(np.float64) @ self.weights
+        return (hit.view(np.int8) @ self._int8_weights).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -519,44 +528,82 @@ class MergedModel:
         equalities and g = rows y + offsets of the inequalities, which
         :func:`_continuous_stage` reads.
 
-        The round's constants and the stencil's ``apply`` and
-        ``transpose`` are bound here once, so a trial point costs numpy
-        calls and two method calls only.  Products (here and in the
-        stencil) go through ``np.dot``, which costs less per call than
-        ``@`` and gives the same bits on these shapes.  The x-gradient is
-        ``2 * (dx - A^T(w uv))``, bit-equal to ``2 dx - 2 A^T(w uv)``
-        because doubling is exact."""
+        The round's constants and the stencil's arrays are bound here
+        once, and both passes run the stencil's gather and product inline
+        (what its ``apply`` and ``transpose`` do), so a trial point costs
+        numpy calls only.  The arrays in the state are new on every call;
+        the rest lives in buffers of the round: ``sq`` (n, 2) holds uv
+        squared, ``tmp`` (n) the squares of dx and then ``half_rho * h``,
+        and ``w`` (n, held as the column ``w_col``) the weights
+        ``lam + rho h`` of the gradient; ``w * uv`` goes into the
+        stencil's own padded buffer.  Every rewrite keeps the bits of the
+        formulas written out:
+
+        * h is ``y*y`` minus the two columns of ``sq`` in turn, the order
+          of ``(y*y - u*u) - v*v``;
+        * the hinge is built in place as ``rho*g``, then ``+= mu`` and
+          ``np.maximum(0.0, hinge)`` with the operands in that order
+          (IEEE addition and multiplication commute, but ``maximum``
+          returns its second operand for equal signed zeros);
+        * ``w`` is ``rho*h`` then ``+= lam``, and the x-gradient is
+          ``2 * (dx - A^T(w uv))``, bit-equal to ``2 dx - 2 A^T(w uv)``
+          because doubling is exact;
+        * the scalar sums are Python floats, the same IEEE additions as
+          numpy's float64 scalars.
+
+        The round's constants are 0-d arrays, which numpy takes with
+        less work than Python floats.  Products go through ``np.dot``,
+        which costs less per call than ``@`` and gives the same bits on
+        these shapes."""
         n, anchor, rows, offsets = self.n, self.anchor, self.rows, self.offsets
         rows_t = rows.T
-        apply, transpose = self.stencil.apply, self.stencil.transpose
-        mu_sq = mu @ mu
-        half_rho, two_rho = 0.5 * rho, 2.0 * rho
+        st = self.stencil
+        x_pad, x_head, forward, weights = st._x_pad, st._x_head, st.forward, st.weights
+        r_pairs, r_head, adjoint, pair_weights = st._r_pairs, st._r_head, st.adjoint, st._pair_weights
+        mu_sq = float(mu @ mu)
+        two_rho = 2.0 * rho
+        rho, half_rho = np.array(rho), np.array(0.5 * rho)
+        zero, two = np.array(0.0), np.array(2.0)
+        sq, tmp, w_col = np.empty((n, 2)), np.empty(n), np.empty((n, 1))
+        sq_u, sq_v, w = sq[:, 0], sq[:, 1], w_col[:, 0]
 
         def value(z):
             x, y = z[:n], z[n:]
-            uv = apply(x)
-            u, v = uv[:, 0], uv[:, 1]
-            h = y * y - u * u - v * v
-            g = np.dot(rows, y) + offsets
-            hinge = np.maximum(0.0, mu + rho * g)
+            x_head[...] = x
+            uv = np.dot(x_pad[forward], weights)
+            np.multiply(uv, uv, out=sq)
+            h = y * y
+            h -= sq_u
+            h -= sq_v
+            g = np.dot(rows, y)
+            g += offsets
+            hinge = np.multiply(g, rho)
+            hinge += mu
+            np.maximum(zero, hinge, out=hinge)
             dx = x - anchor
+            np.multiply(dx, dx, out=tmp)
             # np.add.reduce is np.sum without its Python-level dispatch,
             # which costs as much as the sum itself at desk sizes.
-            f = np.add.reduce(dx * dx) + np.dot(lam, h) + np.dot(half_rho * h, h)
-            f = float(f + (np.dot(hinge, hinge) - mu_sq) / two_rho)
+            f = float(np.add.reduce(tmp)) + float(np.dot(lam, h))
+            np.multiply(h, half_rho, out=tmp)
+            f += float(np.dot(tmp, h))
+            f += (float(np.dot(hinge, hinge)) - mu_sq) / two_rho
             return f, (h, g, y, uv, hinge, dx)
 
         def gradient(state):
             h, _, y, uv, hinge, dx = state
-            w = lam + rho * h
-            g = np.empty(2 * n)
-            gx, gy = g[:n], g[n:]
-            np.subtract(dx, transpose(uv, w), out=gx)
-            gx *= 2.0
-            w *= 2.0
+            np.multiply(h, rho, out=w)
+            np.add(w, lam, out=w)
+            np.multiply(uv, w_col, out=r_head)
+            grad = np.empty(2 * n)
+            gx, gy = grad[:n], grad[n:]
+            np.dot(r_pairs[adjoint].view(np.float64), pair_weights, out=gx)
+            np.subtract(dx, gx, out=gx)
+            np.multiply(gx, two, out=gx)
+            np.multiply(w, two, out=w)
             np.multiply(w, y, out=gy)
             gy += np.dot(rows_t, hinge)
-            return g
+            return grad
 
         return value, gradient
 
@@ -593,25 +640,40 @@ class ImageModel:
         """``value`` and ``gradient`` of one outer round, as in
         :meth:`MergedModel.objective`; the state's h is u^2 + v^2 - t^2,
         there are no inequalities (g is empty), and the gradient is
-        ``2 * (dz + A^T(w uv))``."""
-        anchor, target_sq = self.anchor, self.target_sq
-        apply, transpose = self.stencil.apply, self.stencil.transpose
-        half_rho = 0.5 * rho
+        ``2 * (dz + A^T(w uv))``.  The buffers ``sq``, ``tmp`` and ``w``
+        and the bit-keeping rewrites are those of the merged model: h is
+        the sum of ``sq``'s columns minus t^2, the order of
+        ``(u*u + v*v) - t^2``."""
+        n, anchor, target_sq = self.n, self.anchor, self.target_sq
+        st = self.stencil
+        x_pad, x_head, forward, weights = st._x_pad, st._x_head, st.forward, st.weights
+        r_pairs, r_head, adjoint, pair_weights = st._r_pairs, st._r_head, st.adjoint, st._pair_weights
+        rho, half_rho, two = np.array(rho), np.array(0.5 * rho), np.array(2.0)
+        sq, tmp, w_col = np.empty((n, 2)), np.empty(n), np.empty((n, 1))
+        sq_u, sq_v, w = sq[:, 0], sq[:, 1], w_col[:, 0]
         no_ineq = np.zeros(0)
 
         def value(z):
-            uv = apply(z)
-            u, v = uv[:, 0], uv[:, 1]
-            h = u * u + v * v - target_sq
+            x_head[...] = z
+            uv = np.dot(x_pad[forward], weights)
+            np.multiply(uv, uv, out=sq)
+            h = np.add(sq_u, sq_v)
+            h -= target_sq
             dz = z - anchor
-            f = np.add.reduce(dz * dz) + np.dot(lam, h) + np.dot(half_rho * h, h)
-            return float(f), (h, no_ineq, uv, dz)
+            np.multiply(dz, dz, out=tmp)
+            f = float(np.add.reduce(tmp)) + float(np.dot(lam, h))
+            np.multiply(h, half_rho, out=tmp)
+            f += float(np.dot(tmp, h))
+            return f, (h, no_ineq, uv, dz)
 
         def gradient(state):
             h, _, uv, dz = state
-            g = transpose(uv, lam + rho * h)
+            np.multiply(h, rho, out=w)
+            np.add(w, lam, out=w)
+            np.multiply(uv, w_col, out=r_head)
+            g = np.dot(r_pairs[adjoint].view(np.float64), pair_weights)
             g += dz
-            g *= 2.0
+            np.multiply(g, two, out=g)
             return g
 
         return value, gradient
@@ -629,43 +691,60 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
     Armijo over the last 8 values) on the round's objective, which
     ``model.objective`` binds once.  Each trial point costs one forward
     pass (``value``); the gradient is formed only at the accepted one,
-    from the arrays its ``value`` kept.  The first trial is ``z + d``,
-    which ``z + 1.0 * d`` equals bit for bit.  Returns the last accepted
-    point and the state its ``value`` kept."""
+    from the arrays its ``value`` kept, and not at the last iterate,
+    which nothing reads.  Returns the last accepted point and the state
+    its ``value`` kept.
+
+    The vectors of an iteration live in buffers of the call: ``d`` holds
+    the projected step, ``zn`` the trial point, ``s`` the accepted step
+    and ``scratch`` |d| and then the gradient change; the accepted trial
+    point becomes ``z`` and the old ``z`` the next trial's buffer.  They
+    keep the bits of the loop written out: ``alpha * grad`` and
+    ``step_len * d`` are formed as ``grad * alpha`` and ``d * step_len``
+    and ``z + step_len * d`` as ``step_len * d + z``, because IEEE
+    multiplication and addition commute; the first trial ``z + d``
+    equals ``z + 1.0 * d``; and the projection keeps the operand order
+    of ``model.project``, ``minimum(maximum(z, lower), upper)``."""
     value, gradient = model.objective(lam, mu, rho)
-    project = model.project
-    z = project(z0)
+    lower, upper = model.lower, model.upper
+    z = model.project(z0)
     f, state = value(z)
     grad = gradient(state)
     # np.maximum.reduce is max() without its Python-level wrapper.
     alpha = 1.0 / max(1e-10, float(np.maximum.reduce(np.abs(grad))))
+    zn, d, s, scratch = (np.empty_like(z) for _ in range(4))
     history = [f]
     for it in range(max_iter):
-        d = project(z - alpha * grad)
+        np.multiply(grad, alpha, out=d)
+        np.subtract(z, d, out=d)
+        np.maximum(d, lower, out=d)
+        np.minimum(d, upper, out=d)
         d -= z
-        if float(np.maximum.reduce(np.abs(d))) <= tol:
+        if float(np.maximum.reduce(np.abs(d, out=scratch))) <= tol:
             break
         gtd = float(np.dot(grad, d))
         step_len = 1.0
         f_ref = max(history)
-        zn = z + d
+        np.add(z, d, out=zn)
         while True:
             fn, state = value(zn)
             if fn <= f_ref + 1e-4 * step_len * gtd or step_len < 1e-12:
                 break
             step_len *= 0.5
-            zn = z + step_len * d
-        gn = gradient(state)
-        s = zn - z
-        yv = gn - grad
-        sy = float(np.dot(s, yv))
-        alpha = min(1e8, max(1e-12, float(np.dot(s, s)) / sy)) if sy > 1e-18 else min(1e8, 4.0 * alpha)
-        z, grad = zn, gn
+            np.multiply(d, step_len, out=zn)
+            zn += z
+        z, zn = zn, z
         history.append(fn)
         if len(history) > 8:
             history.pop(0)
-        if it % 64 == 0 and time.monotonic() > deadline:
+        if it + 1 == max_iter or (it % 64 == 0 and time.monotonic() > deadline):
             break
+        gn = gradient(state)
+        np.subtract(z, zn, out=s)
+        np.subtract(gn, grad, out=scratch)
+        sy = float(np.dot(s, scratch))
+        alpha = min(1e8, max(1e-12, float(np.dot(s, s)) / sy)) if sy > 1e-18 else min(1e8, 4.0 * alpha)
+        grad = gn
     return z, state
 
 

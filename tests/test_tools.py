@@ -51,11 +51,26 @@ def test_digest_line_of_image_feature_and_no_solution():
     assert solve_digests.digest_line("op #3", report) == "op #3 infeasible inf - {}"
 
 
-def test_recorder_records_solves_through_the_package(monkeypatch):
+def _restore_wrapped(monkeypatch):
+    """Register the entry points a Recorder wraps, so that undoing them
+    after the test restores the unwrapped ones."""
     for name in ("solve_qp", "solve_qcqp"):
-        # Registered first, so that undoing them restores the unwrapped entry points.
         monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
         monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    monkeypatch.setattr(solver_module, "_continuous_stage", solver_module._continuous_stage)
+
+
+def test_continuous_line_format():
+    z = np.array([0.25, 1.0, 0.0])
+    line = f"continuous op #1 {_sha(z)} 1.5e-08"
+    assert solve_digests.continuous_line("op #1", z, 1.5e-8) == line
+    # a NumPy scalar prints as the float it holds
+    assert solve_digests.continuous_line("op #1", z, np.float64(1.5e-8)) == line
+    assert solve_digests.continuous_line("op #2", z, float("inf")).endswith(" inf")
+
+
+def test_recorder_records_solves_through_the_package(monkeypatch):
+    _restore_wrapped(monkeypatch)
     recorder = solve_digests.Recorder(biopreimage, solver_module)
     assert biopreimage.solve_qcqp is solver_module.solve_qcqp
 
@@ -77,6 +92,35 @@ def test_recorder_records_solves_through_the_package(monkeypatch):
     assert recorder.lines[0] == recorder.lines[1].replace("desk op=0", test_id)
 
 
+def test_recorder_records_each_continuous_stage(monkeypatch):
+    """A QCQP solve from an infeasible anchor runs one continuous stage
+    per restart, and each yields one continuous line, labelled like the
+    solve, with the iterate and violation the stage returned."""
+    _restore_wrapped(monkeypatch)
+    stage = solver_module._continuous_stage
+    returned = []
+
+    def kept(*args):
+        result = stage(*args)
+        returned.append(result)
+        return result
+
+    monkeypatch.setattr(solver_module, "_continuous_stage", kept)
+    recorder = solve_digests.Recorder(biopreimage, solver_module)
+    monkeypatch.delenv("PYTEST_CURRENT_TEST")
+    recorder.label = "desk op=1"
+    rng = np.random.default_rng(7)
+    victim, anchor = (GrayImage(3, 2, rng.integers(0, 256, (2, 3))) for _ in range(2))
+    problem = build_merged(anchor, enroll(victim, "pw", 6), password=b"pw")
+    assert not solver_module.certify(anchor, problem)["0"]
+    report = biopreimage.solve_qcqp(problem, SolverConfig(restarts=2, time_limit=30.0))
+    assert len(returned) == 2
+    assert recorder.continuous == [
+        solve_digests.continuous_line(f"desk op=1 #{k}", z, vio) for k, (z, vio) in enumerate(returned, 1)
+    ]
+    assert recorder.lines == [solve_digests.digest_line("desk op=1 #1", report)]
+
+
 @pytest.mark.parametrize("given,selection", [(None, solve_digests.DEFAULT_PYTEST), ("", None)])
 def test_default_pytest_selection(monkeypatch, given, selection):
     """Without --pytest the tool runs criteria 2-6 and the pinned tests;
@@ -85,9 +129,7 @@ def test_default_pytest_selection(monkeypatch, given, selection):
     monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
     # the enroll lines, two orthonormalized face-size enrolls, have their own test
     monkeypatch.setattr(solve_digests, "enroll_lines", lambda biopreimage, workloads: [])
-    for name in ("solve_qp", "solve_qcqp"):
-        monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
-        monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    _restore_wrapped(monkeypatch)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.chdir(os.getcwd())
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -130,9 +172,7 @@ TABLE_LINES = [
 def test_enroll_lines_come_first_and_are_pinned(monkeypatch, capsys):
     """With no seeds and no tests the tool prints the enroll lines and
     the table lines alone."""
-    for name in ("solve_qp", "solve_qcqp"):
-        monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
-        monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
+    _restore_wrapped(monkeypatch)
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))

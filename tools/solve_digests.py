@@ -9,10 +9,15 @@ passwords, plain and orthonormalized, and the sha256 of one plain
 derive_matrix of that size, which the draw loop fills in many blocks.
 Next come the integer repair's move tables (``table_lines``): one sha256
 per move group of the image shapes in ``TABLE_SHAPES``, 112x92 among
-them, a size at which no solve below runs.  Then every call of
-``solver.solve_qp`` and ``solver.solve_qcqp`` prints its status,
-objective, the sha256 of its solution and its certification map,
-labelled with the operation or test that made it.  The solves are those
+them, a size at which no solve below runs.  Then every call of the
+continuous stage (``solver._continuous_stage``, one per restart of a
+QCQP solve) prints a ``continuous`` line: the sha256 of the iterate it
+returns and the repr of its smallest constraint violation, which show a
+change to the continuous iterates that the integer rounding after them
+hides.  Last, every call of ``solver.solve_qp`` and
+``solver.solve_qcqp`` prints its status, objective, the sha256 of its
+solution and its certification map.  Continuous and solve lines are
+labelled with the operation or test that made them.  The solves are those
 of the checked cycles of attack-desk, attack-repair and attack-scale for
 each seed (inputs from ``perfbench/workloads.py``, which this tool only
 imports), then those of a pytest selection, run in this process.  The
@@ -107,27 +112,53 @@ def digest_line(label: str, report) -> str:
     return f"{label} {report.status.value} {report.objective!r} {sha} {cert}"
 
 
+def continuous_line(label: str, z, best_violation: float) -> str:
+    """The sha256 of a continuous stage's iterate and the repr of its
+    smallest violation."""
+    sha = hashlib.sha256(z.tobytes()).hexdigest()[:16]
+    return f"continuous {label} {sha} {float(best_violation)!r}"
+
+
 class Recorder:
     """Wraps the two solve entry points of the solver module (and the
-    package's re-exports of them) and keeps one digest line per call."""
+    package's re-exports of them) and keeps one digest line per call in
+    ``lines``; wraps the module's continuous stage, which the QCQP solve
+    calls by its module name, and keeps one line per call in
+    ``continuous``."""
 
     def __init__(self, package, solver):
         self.lines: list[str] = []
+        self.continuous: list[str] = []
         self.label = ""
         self.calls: Counter[str] = Counter()
+        self.stages: Counter[str] = Counter()
         for name in ("solve_qp", "solve_qcqp"):
             wrapped = self._wrap(getattr(solver, name))
             setattr(solver, name, wrapped)
             setattr(package, name, wrapped)
+        solver._continuous_stage = self._wrap_stage(solver._continuous_stage)
+
+    def _current(self) -> str:
+        # Tests name themselves in PYTEST_CURRENT_TEST ("path::test (call)").
+        return os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0] or self.label
 
     def _wrap(self, fn):
         def recorded(*args, **kwargs):
             report = fn(*args, **kwargs)
-            # Tests name themselves in PYTEST_CURRENT_TEST ("path::test (call)").
-            label = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0] or self.label
+            label = self._current()
             self.calls[label] += 1
             self.lines.append(digest_line(f"{label} #{self.calls[label]}", report))
             return report
+
+        return recorded
+
+    def _wrap_stage(self, fn):
+        def recorded(*args, **kwargs):
+            z, best_violation = fn(*args, **kwargs)
+            label = self._current()
+            self.stages[label] += 1
+            self.continuous.append(continuous_line(f"{label} #{self.stages[label]}", z, best_violation))
+            return z, best_violation
 
         return recorded
 
@@ -165,7 +196,7 @@ def main(argv=None) -> int:
         os.chdir(root)
         with contextlib.redirect_stdout(sys.stderr):
             status = int(pytest.main(shlex.split(args.pytest) + ["-q", "-p", "no:cacheprovider"]))
-    print("\n".join(lines + recorder.lines))
+    print("\n".join(lines + recorder.continuous + recorder.lines))
     if status:
         print(f"pytest exited with status {status}", file=sys.stderr)
     return status
