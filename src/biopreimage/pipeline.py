@@ -47,6 +47,10 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        # A float or bool dimension would pass the range check and fail
+        # only later, in enroll's seed check (n = 2.0 * 2 is a float).
+        _check_count("width", self.width, PipelineError)
+        _check_count("height", self.height, PipelineError)
         if self.width < 1 or self.height < 1:
             raise PipelineError(f"image dims must be positive, got {self.height}x{self.width}")
         raw = np.asarray(self.pixels)
@@ -159,12 +163,14 @@ class Template:
     bits: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.uint8)
-        if b.ndim != 1:
+        raw = np.asarray(self.bits)
+        if raw.ndim != 1:
             raise PipelineError("template bits must be a flat vector")
-        if b.size and b.max() > 1:
+        # Compared before the cast: a cast to uint8 would truncate 0.5 to 0
+        # and wrap 256 to 0 and -255 to 1.
+        if raw.dtype.kind not in "biuf" or not np.logical_or(raw == 0, raw == 1).all():
             raise PipelineError("template bits must be 0 or 1")
-        b = b.copy()
+        b = raw.astype(np.uint8)
         b.flags.writeable = False
         object.__setattr__(self, "bits", b)
 

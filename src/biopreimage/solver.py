@@ -290,13 +290,13 @@ class SobelStencil:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(n, 2) array whose columns are u = A1 x and v = A2 x."""
         self._x_head[...] = x
-        return np.dot(self._x_pad[self.forward], self.weights)
+        return self._x_pad[self.forward].dot(self.weights)
 
     def transpose(self, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """A1^T (scale * r[:, 0]) + A2^T (scale * r[:, 1]) for an (n, 2)
         array r and a length-n ``scale``."""
         np.multiply(r, scale[:, None], out=self._r_head)
-        return np.dot(self._r_pairs[self.adjoint].view(np.float64), self._pair_weights)
+        return self._r_pairs[self.adjoint].view(np.float64).dot(self._pair_weights)
 
     def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Operator entries (A1[f, p], A2[f, p]) for broadcast index
@@ -552,9 +552,9 @@ class MergedModel:
           numpy's float64 scalars.
 
         The round's constants are 0-d arrays, which numpy takes with
-        less work than Python floats.  Products go through ``np.dot``,
-        which costs less per call than ``@`` and gives the same bits on
-        these shapes."""
+        less work than Python floats.  Products call the arrays' own
+        ``dot``: the routine of ``np.dot`` without its Python-level
+        dispatch, cheaper per call than ``@``, with the same bits."""
         n, anchor, rows, offsets = self.n, self.anchor, self.rows, self.offsets
         rows_t = rows.T
         st = self.stencil
@@ -570,12 +570,12 @@ class MergedModel:
         def value(z):
             x, y = z[:n], z[n:]
             x_head[...] = x
-            uv = np.dot(x_pad[forward], weights)
+            uv = x_pad[forward].dot(weights)
             np.multiply(uv, uv, out=sq)
             h = y * y
             h -= sq_u
             h -= sq_v
-            g = np.dot(rows, y)
+            g = rows.dot(y)
             g += offsets
             hinge = np.multiply(g, rho)
             hinge += mu
@@ -584,10 +584,10 @@ class MergedModel:
             np.multiply(dx, dx, out=tmp)
             # np.add.reduce is np.sum without its Python-level dispatch,
             # which costs as much as the sum itself at desk sizes.
-            f = float(np.add.reduce(tmp)) + float(np.dot(lam, h))
+            f = float(np.add.reduce(tmp)) + float(lam.dot(h))
             np.multiply(h, half_rho, out=tmp)
-            f += float(np.dot(tmp, h))
-            f += (float(np.dot(hinge, hinge)) - mu_sq) / two_rho
+            f += float(tmp.dot(h))
+            f += (float(hinge.dot(hinge)) - mu_sq) / two_rho
             return f, (h, g, y, uv, hinge, dx)
 
         def gradient(state):
@@ -597,12 +597,12 @@ class MergedModel:
             np.multiply(uv, w_col, out=r_head)
             grad = np.empty(2 * n)
             gx, gy = grad[:n], grad[n:]
-            np.dot(r_pairs[adjoint].view(np.float64), pair_weights, out=gx)
+            r_pairs[adjoint].view(np.float64).dot(pair_weights, out=gx)
             np.subtract(dx, gx, out=gx)
             np.multiply(gx, two, out=gx)
             np.multiply(w, two, out=w)
             np.multiply(w, y, out=gy)
-            gy += np.dot(rows_t, hinge)
+            gy += rows_t.dot(hinge)
             return grad
 
         return value, gradient
@@ -655,15 +655,15 @@ class ImageModel:
 
         def value(z):
             x_head[...] = z
-            uv = np.dot(x_pad[forward], weights)
+            uv = x_pad[forward].dot(weights)
             np.multiply(uv, uv, out=sq)
             h = np.add(sq_u, sq_v)
             h -= target_sq
             dz = z - anchor
             np.multiply(dz, dz, out=tmp)
-            f = float(np.add.reduce(tmp)) + float(np.dot(lam, h))
+            f = float(np.add.reduce(tmp)) + float(lam.dot(h))
             np.multiply(h, half_rho, out=tmp)
-            f += float(np.dot(tmp, h))
+            f += float(tmp.dot(h))
             return f, (h, no_ineq, uv, dz)
 
         def gradient(state):
@@ -671,7 +671,7 @@ class ImageModel:
             np.multiply(h, rho, out=w)
             np.add(w, lam, out=w)
             np.multiply(uv, w_col, out=r_head)
-            g = np.dot(r_pairs[adjoint].view(np.float64), pair_weights)
+            g = r_pairs[adjoint].view(np.float64).dot(pair_weights)
             g += dz
             np.multiply(g, two, out=g)
             return g
@@ -722,7 +722,7 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
         d -= z
         if float(np.maximum.reduce(np.abs(d, out=scratch))) <= tol:
             break
-        gtd = float(np.dot(grad, d))
+        gtd = float(grad.dot(d))
         step_len = 1.0
         f_ref = max(history)
         np.add(z, d, out=zn)
@@ -742,8 +742,8 @@ def _spg_minimize(model, z0, lam, mu, rho, max_iter, tol, deadline):
         gn = gradient(state)
         np.subtract(z, zn, out=s)
         np.subtract(gn, grad, out=scratch)
-        sy = float(np.dot(s, scratch))
-        alpha = min(1e8, max(1e-12, float(np.dot(s, s)) / sy)) if sy > 1e-18 else min(1e8, 4.0 * alpha)
+        sy = float(s.dot(scratch))
+        alpha = min(1e8, max(1e-12, float(s.dot(s)) / sy)) if sy > 1e-18 else min(1e8, 4.0 * alpha)
         grad = gn
     return z, state
 
@@ -798,10 +798,16 @@ class _Scorer:
 
     def _local_sq(self, state, feats, du, dv) -> np.ndarray:
         """u^2 + v^2 on each candidate's footprint, shape (tuples, steps,
-        footprint)."""
-        sq = state.u[feats][:, None, :] + du
+        footprint), as int32 from the state's int16 u and v and the int8
+        changes.  The values are exact: pixels in 0..255 give |u|, |v| <=
+        4 * 255 and a change is at most 16 in magnitude for the step sets
+        here (127 at the int8 limit), so |u + du| <= 1147 fits an int16,
+        each square is below 2^21 and the sum below 2^22, inside an int32.
+        These are the integers the float64 formula forms, so a square
+        root taken in float64 is the same double."""
+        sq = np.add(state.u16[feats][:, None, :], du, dtype=np.int32)
         sq *= sq
-        vv = state.v[feats][:, None, :] + dv
+        vv = np.add(state.v16[feats][:, None, :], dv, dtype=np.int32)
         vv *= vv
         sq += vv
         return sq
@@ -829,10 +835,12 @@ class _SignScorer(_Scorer):
         self.big_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
         want_zero = np.concatenate([cs.template.bits == 0 for cs in problem.constraint_sets])
         self.want_one = ~want_zero
-        # Signs and offsets of the hinge terms (``_hinge``).
+        # Signs and offsets of the hinge terms (``_hinge``), and the
+        # signed matrix and bounds of ``clean_feasible``.
         self.sign = np.where(want_zero, 1.0, -1.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
-        self._ones = np.ones(self.big_m.shape[1])
+        self.signed_m = self.big_m * self.sign
+        self.neg_offset = -self.offset
 
     def _hinge(self, proj, out=None):
         """Hinge term of each bit j, max(0, sign_j * proj_j + offset_j):
@@ -846,15 +854,15 @@ class _SignScorer(_Scorer):
         """(mismatched bits, hinge violation) along the last axis; ``out``
         as for ``_hinge``."""
         bits = proj >= 0
-        mism = np.count_nonzero(np.not_equal(bits, self.want_one, out=bits), axis=-1)
-        return mism, self._hinge(proj, out=out).sum(axis=-1)
+        mism = np.add.reduce(np.not_equal(bits, self.want_one, out=bits), axis=-1, dtype=np.intp)
+        return mism, np.add.reduce(self._hinge(proj, out=out), axis=-1)
 
     def score_batch(self, u_batch, v_batch):
         """Mismatched bits of each row of gradient fields."""
         s = u_batch * u_batch
         s += v_batch * v_batch
         proj = np.sqrt(s, out=s) @ self.big_m
-        return np.count_nonzero(np.not_equal(proj >= 0, self.want_one), axis=-1)
+        return np.add.reduce(np.not_equal(proj >= 0, self.want_one), axis=-1, dtype=np.intp)
 
     def local_state(self, u, v):
         s = np.sqrt(u * u + v * v)
@@ -862,15 +870,18 @@ class _SignScorer(_Scorer):
         mism, viol = self._terms(proj)
         return int(mism), float(viol), (s, proj)
 
+    def _change(self, state, feats, du, dv, matrix):
+        """``(s_new[F] - s[F]) @ matrix[F]`` for each candidate, shape
+        (tuples, steps, bits)."""
+        ds = np.sqrt(self._local_sq(state, feats, du, dv), dtype=np.float64)
+        ds -= state.local[0][feats][:, None, :]
+        return ds @ matrix[feats]
+
     def _moved(self, state, feats, du, dv):
         """Each candidate's projections, ``proj + (s_new[F] - s[F]) @ M[F]``,
         shape (tuples, steps, bits)."""
-        s, proj = state.local
-        ds = self._local_sq(state, feats, du, dv)
-        np.sqrt(ds, out=ds)
-        ds -= s[feats][:, None, :]
-        moved = ds @ self.big_m[feats]
-        moved += proj
+        moved = self._change(state, feats, du, dv, self.big_m)
+        moved += state.local[1]
         return moved
 
     def local_scores(self, state, feats, du, dv):
@@ -882,11 +893,21 @@ class _SignScorer(_Scorer):
         bits, violation 0) keeps it clean: no hinge term of ``_terms`` is
         positive.  The margin delta is positive, so such a projection lies
         on its bit's side, and this is exactly ``mism == 0 and viol == 0``
-        of ``local_scores``.  The clipped terms are not negative, so their
-        BLAS row sum is 0 only when every one is."""
-        moved = self._moved(state, feats, du, dv)
-        hinge = self._hinge(moved, out=moved)
-        return (hinge.reshape(-1, hinge.shape[-1]) @ self._ones == 0.0).reshape(hinge.shape[:-1])
+        of ``local_scores``, whose clipped terms are not negative and sum
+        to 0 only when every one is 0.
+
+        The test is one signed comparison, ``sign * moved <= -offset`` on
+        every bit, with ``sign * moved`` formed as the change through
+        ``signed_m`` (M with its columns negated where sign is -1) plus
+        ``sign * proj``.  That is the hinge test bit for bit: negating a
+        column negates every product and partial sum of its gemm output
+        exactly, as it does the sum with ``proj``; and ``fl(x + offset) >
+        0`` holds exactly when ``x > -offset``, because rounding is
+        monotone and a sum of two doubles is 0 only when it is exactly 0.
+        NaN fails both forms."""
+        moved = self._change(state, feats, du, dv, self.signed_m)
+        moved += state.local[1] * self.sign
+        return np.logical_and.reduce(moved <= self.neg_offset, axis=-1)
 
     exact_certified = _exact_certified
 
@@ -906,7 +927,7 @@ class _FeatureScorer(_Scorer):
         resid += v_batch * v_batch
         resid -= self.target_sq
         np.abs(resid, out=resid)
-        return np.count_nonzero(resid > _IMAGE_CERT_TOL, axis=-1)
+        return np.add.reduce(resid > _IMAGE_CERT_TOL, axis=-1, dtype=np.intp)
 
     def local_state(self, u, v):
         resid = np.abs(u * u + v * v - self.target_sq)
@@ -914,9 +935,9 @@ class _FeatureScorer(_Scorer):
 
     def _residuals(self, state, feats, du, dv):
         """|u^2 + v^2 - t^2| on each candidate's footprint, shape (tuples,
-        steps, footprint)."""
-        new = self._local_sq(state, feats, du, dv)
-        new -= self.target_sq[feats][:, None, :]
+        steps, footprint); the exact integer squares of ``_local_sq``
+        minus t^2, in float64."""
+        new = np.subtract(self._local_sq(state, feats, du, dv), self.target_sq[feats][:, None, :])
         return np.abs(new, out=new)
 
     def clean_feasible(self, state, feats, du, dv):
@@ -932,11 +953,11 @@ class _FeatureScorer(_Scorer):
         old = state.local[feats][:, None, :]
         mism = (
             state.score[0]
-            + np.count_nonzero(new > _IMAGE_CERT_TOL, axis=-1)
-            - np.count_nonzero(old > _IMAGE_CERT_TOL, axis=-1)
+            + np.add.reduce(new > _IMAGE_CERT_TOL, axis=-1, dtype=np.intp)
+            - np.add.reduce(old > _IMAGE_CERT_TOL, axis=-1, dtype=np.intp)
         )
         new -= old
-        return mism, state.score[1] + new.sum(axis=-1)
+        return mism, state.score[1] + np.add.reduce(new, axis=-1)
 
     exact_certified = _exact_certified
 
@@ -1011,7 +1032,12 @@ class _MoveGroup:
         self.steps = steps
         self.valid = valid
         self.feats = np.where(valid, feats, 0)
-        for a in (self.tuples, self.steps, self.valid, self.feats, self.du, self.dv):
+        # Constants of the step set that ``_RepairState.moves`` reads.
+        self.step_sq = (steps * steps).sum(axis=1)
+        self.step_min = steps.min(axis=0)
+        self.step_max = steps.max(axis=0)
+        tables = (self.tuples, self.steps, self.valid, self.feats, self.du, self.dv)
+        for a in (*tables, self.step_sq, self.step_min, self.step_max):
             a.flags.writeable = False
 
 
@@ -1037,15 +1063,24 @@ def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
 class _RepairState:
     """Integer candidate: its exact gradients u and v, and the scorer's
     summary of them, recomputed from scratch after every move so that
-    rounding error never builds up."""
+    rounding error never builds up.
+
+    ``u16`` and ``v16`` are int16 copies of u and v, refreshed with the
+    summary, from which the scorers form the squares of a move exactly
+    (``_Scorer._local_sq``).  The pixels must lie in 0..255, which every
+    accepted move keeps: then |u|, |v| <= 4 * 255 and the copies are
+    exact."""
 
     def __init__(self, scorer, pixels: np.ndarray):
         self.scorer = scorer
         self.x = pixels.astype(np.int64).copy()
+        if self.x.min() < 0 or self.x.max() > 255:
+            raise SolverError("repair pixels must lie in 0..255")
         self.u, self.v = scorer.stencil.apply(self.x).T.copy()
         self._refresh()
 
     def _refresh(self):
+        self.u16, self.v16 = self.u.astype(np.int16), self.v.astype(np.int16)
         mism, viol, self.local = self.scorer.local_state(self.u, self.v)
         self.obj = float(np.sum((self.x - self.scorer.anchor) ** 2))
         self.score = (mism, viol, self.obj)
@@ -1061,9 +1096,11 @@ class _RepairState:
         tuples, steps = group.tuples[sl], group.steps
         old = self.x[tuples]
         slope = 2.0 * (old - self.scorer.anchor[tuples])
-        obj = self.obj + (slope @ steps.T + (steps * steps).sum(axis=1))
-        ok = np.ones(obj.shape, dtype=bool)
-        near = np.flatnonzero(((old + steps.min(axis=0) < 0) | (old + steps.max(axis=0) > 255)).any(axis=1))
+        obj = self.obj + (slope @ steps.T + group.step_sq)
+        ok = np.empty(obj.shape, dtype=bool)
+        ok.fill(True)
+        leaves = (old + group.step_min < 0) | (old + group.step_max > 255)
+        near = np.logical_or.reduce(leaves, axis=1).nonzero()[0]
         if near.size:
             vals = old[near][:, None, :] + steps
             ok[near] = ((vals >= 0) & (vals <= 255)).all(axis=2)
@@ -1143,7 +1180,7 @@ def _repair(scorer, pixels: np.ndarray, budget: int, deadline: float):
                 keys = (obj,)
             else:
                 keys = (*scorer.local_scores(*local), obj)
-            sel = np.flatnonzero(ok)
+            sel = ok.ravel().nonzero()[0]
             if sel.size == 0:
                 continue
             # Lexicographic minimum of the keys, first on ties.

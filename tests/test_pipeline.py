@@ -112,6 +112,17 @@ class TestGrayImage:
         with pytest.raises(PipelineError):
             GrayImage(1, 1, [[0.5]])
 
+    @pytest.mark.parametrize("width,height", [(2.0, 2), (2, 2.0), (True, 1), (1, False), ("2", 2)])
+    def test_rejects_non_integer_dims(self, width, height):
+        """A float dimension used to pass, give a float n and fail only in
+        enroll's seed check; a bool passed as 1 or 0."""
+        with pytest.raises(PipelineError, match="must be an integer"):
+            GrayImage(width, height, np.zeros((2, 2)))
+
+    def test_accepts_numpy_integer_dims(self):
+        img = GrayImage(np.int64(2), np.int32(3), np.zeros((3, 2)))
+        assert img.n == 6
+
     def test_pixels_read_only(self):
         img = GrayImage(1, 1, [[7]])
         with pytest.raises(ValueError):
@@ -296,6 +307,39 @@ class TestTemplate:
     def test_rejects_values_above_one(self, bits):
         with pytest.raises(PipelineError):
             Template(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [0.5, 1],
+            np.array([0.9, 1.0]),
+            np.array([256, 1]),
+            np.array([-255, 1]),
+            [-1, 0],
+            np.array([np.nan, 1.0]),
+            ["0", "1"],
+        ],
+        ids=["half", "fraction", "wraps-to-0", "wraps-to-1", "negative", "nan", "strings"],
+    )
+    def test_rejects_values_other_than_zero_and_one(self, bits):
+        """These used to be cast to uint8: truncated to [0 1], wrapped to
+        [0 1] or [1 1], or failed with a bare OverflowError."""
+        with pytest.raises(PipelineError, match="0 or 1"):
+            Template(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([True, False, True]),
+            np.array([1, 0, 1], dtype=np.uint8),
+            np.array([1.0, 0.0, 1.0]),
+            np.array([1, -0.0, 1]),
+        ],
+        ids=["bool", "uint8", "float", "negative-zero"],
+    )
+    def test_accepts_exact_bits_of_any_numeric_dtype(self, bits):
+        t = Template(bits)
+        assert t.bits.dtype == np.uint8 and t.bits.tolist() == [1, 0, 1]
 
     @pytest.mark.parametrize("bits", [[], [0], [1], [1, 0, 1]])
     def test_accepts_bits(self, bits):

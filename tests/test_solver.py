@@ -928,6 +928,17 @@ class TestFootprintScoring:
                     assert np.array_equal(got[t, k][:m], (dense[:, pixels] @ step)[union])
                     assert not got[t, k][m:].any()
 
+    def test_step_constants_are_read_only(self):
+        """The step set's summed squares and per-pixel extremes, which
+        ``_RepairState.moves`` reads on every slice, are built once."""
+        for group in _move_groups(4, 6):
+            steps = group.steps
+            assert np.array_equal(group.step_sq, (steps * steps).sum(axis=1))
+            assert np.array_equal(group.step_min, steps.min(axis=0))
+            assert np.array_equal(group.step_max, steps.max(axis=0))
+            for a in (group.step_sq, group.step_min, group.step_max):
+                assert not a.flags.writeable
+
     def test_footprints_cover_exactly_the_changed_features(self):
         for h, w in [(1, 1), (1, 7), (7, 1), (2, 5), (3, 4)]:
             n = h * w
@@ -1237,6 +1248,113 @@ class TestMoveSlices:
             for (got, got_moves), (repair, want_moves) in zip(repairs(chunk), want):
                 _same_repair(got, repair)
                 assert got_moves == want_moves
+
+
+# ---------------------------------------------------------------------------
+# Exact integer squares and the signed clean test
+
+
+def _float_local_sq(state, feats, du, dv):
+    """u^2 + v^2 on each candidate's footprint from the state's float64 u
+    and v: the formula the int16/int32 path replaces."""
+    uu = state.u[feats][:, None, :] + du
+    vv = state.v[feats][:, None, :] + dv
+    return uu * uu + vv * vv
+
+
+def _hinge_clean_reference(scorer, state, feats, du, dv):
+    """The clean-state test as it was written before the signed
+    comparison: float64 magnitudes, each candidate's projections
+    ``proj + (s_new[F] - s[F]) @ M[F]``, the hinge terms max(0, sign *
+    proj + offset), and a BLAS row sum against ones that must be 0."""
+    s, proj = state.local
+    ds = np.sqrt(_float_local_sq(state, feats, du, dv))
+    ds -= s[feats][:, None, :]
+    moved = ds @ scorer.big_m[feats]
+    moved += proj
+    hinge = np.multiply(moved, scorer.sign, out=moved)
+    hinge += scorer.offset
+    np.maximum(hinge, 0.0, out=hinge)
+    ones = np.ones(hinge.shape[-1])
+    return (hinge.reshape(-1, hinge.shape[-1]) @ ones == 0.0).reshape(hinge.shape[:-1])
+
+
+class TestExactScoring:
+    @pytest.mark.parametrize("kind", ["merged", "image"])
+    @pytest.mark.parametrize(
+        "h,w,bits,groups", [(2, 5, 20, 3), (4, 6, 20, 3), (16, 16, 64, 1)], ids=["2x5", "4x6", "16x16"]
+    )
+    def test_integer_squares_match_the_float_formula(self, h, w, bits, groups, kind):
+        """``_local_sq`` in int32 from int16 u and v holds the integers the
+        float64 formula forms, and their float64 square roots have the same
+        bits, on every candidate of every group, steps off the pixel range
+        included.  The states are a 0/255 checkerboard, 0/255 edges, which
+        reach |u| or |v| = 4 * 255, and random pixels."""
+        rng = np.random.default_rng(193)
+        problem = _random_problem(rng, h, w, bits, kind)
+        scorer = _FeatureScorer(problem) if kind == "image" else _SignScorer(problem)
+        assert len(scorer.move_groups) == groups
+        rows, cols = np.indices((h, w))
+        starts = [
+            255 * ((rows + cols) % 2),
+            255 * (cols < w // 2),
+            255 * (rows < h // 2),
+            *(rng.integers(0, 256, size=(h, w)) for _ in range(2)),
+        ]
+        reach = 0
+        for pixels in starts:
+            state = _RepairState(scorer, pixels.reshape(-1))
+            assert np.array_equal(state.u16, state.u) and np.array_equal(state.v16, state.v)
+            reach = max(reach, np.abs(state.u).max(), np.abs(state.v).max())
+            for group in scorer.move_groups:
+                for sl in _slices(group):
+                    local = (state, group.feats[sl], group.du[sl], group.dv[sl])
+                    got = scorer._local_sq(*local)
+                    want = _float_local_sq(*local)
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, want)
+                    root = np.sqrt(got, dtype=np.float64)
+                    assert np.array_equal(root.view(np.int64), np.sqrt(want).view(np.int64))
+        assert reach == 4 * 255
+
+    @pytest.mark.parametrize("h,w,groups", [(2, 5, 3), (4, 6, 3)])
+    def test_signed_clean_test_matches_the_hinge_sum(self, h, w, groups):
+        """``clean_feasible`` against the hinge-sum test it replaced, with
+        bits that sit exactly on their bounds.  Columns 0-2 of M are zero,
+        so a candidate's projection on them is the state's, which
+        ``state.local`` sets to -delta for the 0 bit and to 0.0 and -0.0
+        for the two 1 bits: each bound holds with equality on every
+        candidate.  The other bits sit at random distances inside their
+        bounds, so some candidates stay clean and some do not."""
+        rng = np.random.default_rng(197)
+        bits = 12
+        matrix = rng.uniform(-0.5, 0.5, size=(h * w, bits))
+        matrix[:, :3] = 0.0
+        template = Template([0, 1, 1, *rng.integers(0, 2, size=bits - 3)])
+        anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+        problem = build_merged(anchor, template, matrix=matrix)
+        scorer = _SignScorer(problem)
+        assert len(scorer.move_groups) == groups
+        seen = set()
+        for _ in range(4):
+            state = _RepairState(scorer, rng.integers(0, 256, size=h * w))
+            proj = -scorer.sign * (scorer.offset + rng.uniform(0.0, 40.0, size=bits))
+            proj[:3] = (-problem.delta, 0.0, -0.0)
+            state.local = (state.local[0], proj)
+            for group in scorer.move_groups:
+                for sl in _slices(group):
+                    local = (state, group.feats[sl], group.du[sl], group.dv[sl])
+                    got = scorer.clean_feasible(*local)
+                    assert np.array_equal(got, _hinge_clean_reference(scorer, *local))
+                    seen.update(got.ravel().tolist())
+        assert seen == {True, False}
+
+    def test_repair_state_refuses_pixels_off_the_range(self):
+        """The int16 copies of u and v are exact only for pixels in 0..255."""
+        scorer = _SignScorer(_random_problem(np.random.default_rng(199), 2, 5, 20))
+        for pixels in ([0] * 9 + [256], [-1] + [0] * 9):
+            with pytest.raises(SolverError, match="0..255"):
+                _RepairState(scorer, np.array(pixels))
 
 
 _MIB = 1 << 20
