@@ -96,7 +96,10 @@ def _check_count(name: str, value, error: type[ValueError] = SeedError) -> None:
 
 
 def derive_seed(password: bytes | str) -> int:
-    """Password bytes to 64-bit seed state. Empty passwords are refused."""
+    """Password bytes to 64-bit seed state. Empty passwords and anything
+    but str, bytes or bytearray are refused."""
+    if not isinstance(password, (str, bytes, bytearray)):
+        raise SeedError(f"password must be str, bytes or bytearray, got {type(password).__name__}")
     password = _as_bytes(password)
     if not password:
         raise SeedError("password must be non-empty")
@@ -589,13 +592,15 @@ def column_blocks(password: bytes | str, n: int, m: int, orthonormalize: bool = 
     matrix, or one column when n exceeds that.  Orthonormalized columns
     are drawn straight into one (m, n) array, orthonormalized in place
     and yielded as a single block: one n x m float64 array at the peak.
-    Dimensions are checked, and the orthonormalization done, before
-    this returns.
+    Dimensions, the password's type and the bool ``orthonormalize`` are
+    checked, and the orthonormalization done, before this returns.
     """
     _check_count("n", n)
     _check_count("m", m)
     if n < 1 or m < 1:
         raise SeedError(f"matrix dims must be positive, got {n}x{m}")
+    if not isinstance(orthonormalize, (bool, np.bool_)):
+        raise SeedError(f"orthonormalize must be a bool, got {orthonormalize!r}")
     if orthonormalize and m > n:
         raise SeedError(f"orthonormalization needs m <= n, got n={n} m={m}")
     seed = derive_seed(password)

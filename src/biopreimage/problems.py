@@ -119,6 +119,8 @@ class AttackProblem:
     target_feature: np.ndarray | None = None
 
     def __post_init__(self):
+        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
+            raise ProblemError(f"margin delta must be a real number, got {self.delta!r}")
         if not math.isfinite(self.delta) or self.delta <= 0:
             raise ProblemError("margin delta must be positive and finite")
         n = self.height * self.width

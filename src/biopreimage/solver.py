@@ -359,11 +359,19 @@ def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
 # Feature-phase QP
 
 
+def _signed_rows(sets: tuple[SignConstraintSet, ...]) -> np.ndarray:
+    """The sign constraints' rows: for each set, the columns of M of its
+    0 bits, then the negated columns of its 1 bits."""
+    rows = []
+    for cs in sets:
+        rows += [cs.matrix[:, cs.zero_idx].T, -cs.matrix[:, cs.one_idx].T]
+    return np.vstack(rows)
+
+
 def _qp_constraints(problem: AttackProblem) -> tuple[np.ndarray, np.ndarray]:
     """Rows g, offsets c with the feasible set {x >= 0 : g @ x <= c}."""
     cs = problem.constraint_sets[0]
-    mat = cs.matrix
-    g = np.vstack([mat[:, cs.zero_idx].T, -mat[:, cs.one_idx].T])
+    g = _signed_rows(problem.constraint_sets)
     c = np.concatenate(
         [np.full(cs.zero_idx.size, -problem.delta), np.zeros(cs.one_idx.size)]
     )
@@ -500,14 +508,8 @@ class MergedModel:
         self.stencil = SobelStencil(problem.height, problem.width)
         self.anchor = problem.anchor_image.flat() / _PIXEL_SCALE
         margin = problem.delta if margin is None else margin
-        rows, offs = [], []
-        for cs in problem.constraint_sets:
-            rows.append(cs.matrix[:, cs.zero_idx].T)
-            offs.append(np.full(cs.zero_idx.size, margin / _PIXEL_SCALE))
-            rows.append(-cs.matrix[:, cs.one_idx].T)
-            offs.append(np.full(cs.one_idx.size, margin / _PIXEL_SCALE))
-        self.rows = np.vstack(rows)
-        self.offsets = np.concatenate(offs)
+        self.rows = _signed_rows(problem.constraint_sets)
+        self.offsets = np.full(self.rows.shape[0], margin / _PIXEL_SCALE)
         self.n_eq = self.n
         self.n_ineq = self.rows.shape[0]
         self.lower = np.zeros(2 * self.n)
@@ -825,62 +827,62 @@ class _SignScorer(_Scorer):
     """Scoring of integer candidates for sign-constrained problems; exact
     confirmation goes through the forward pipeline.
 
+    The one matrix held is ``signed_m``: the victims' matrices side by
+    side, the column of each 1 bit negated.  Negating a column negates
+    every product and partial sum of a matrix product exactly, so the
+    signed projection sp = s @ signed_m is proj for a 0 bit and -proj for
+    a 1 bit, up to the sign of a zero, which nothing below reads.  Bit j
+    is mismatched unless sp_j <= threshold_j: 0.0 for a 1 bit, and for a
+    0 bit -2**-1074, the negative double nearest 0, as proj >= 0 holds
+    exactly when proj > -2**-1074.  So a NaN projection, which matches no
+    template (:func:`_signs_match`), is mismatched on every bit.  The
+    hinge term is max(0, sp_j + offset_j): delta for a 0 bit, 0 for a 1.
+
     ``score_batch`` scores whole gradient fields.  ``local_state`` and
     ``local_scores`` serve the repair: the state keeps its magnitudes s
-    and projections proj, and a move that changes the features F is
-    scored from ``proj + (s_new[F] - s[F]) @ M[F]``."""
+    and signed projections sp, and a move that changes the features F is
+    scored from ``sp + (s_new[F] - s[F]) @ signed_m[F]``."""
 
     def __init__(self, problem: AttackProblem):
         super().__init__(problem)
-        self.big_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
         want_zero = np.concatenate([cs.template.bits == 0 for cs in problem.constraint_sets])
-        self.want_one = ~want_zero
-        # Signs and offsets of the hinge terms (``_hinge``), and the
-        # signed matrix and bounds of ``clean_feasible``.
-        self.sign = np.where(want_zero, 1.0, -1.0)
+        # The hstack copy is the one M-sized array: its 1-bit columns are
+        # negated in place, and the problem's matrices are only read.
+        self.signed_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
+        np.negative(self.signed_m, out=self.signed_m, where=~want_zero)
+        self.threshold = np.where(want_zero, -math.ulp(0.0), 0.0)
         self.offset = np.where(want_zero, problem.delta, 0.0)
-        self.signed_m = self.big_m * self.sign
         self.neg_offset = -self.offset
 
-    def _hinge(self, proj, out=None):
-        """Hinge term of each bit j, max(0, sign_j * proj_j + offset_j):
-        proj + delta for a 0 bit and -proj for a 1 bit.  ``out`` may be
-        ``proj`` itself when the caller no longer needs it."""
-        hinge = np.multiply(proj, self.sign, out=out)
-        hinge += self.offset
-        return np.maximum(hinge, 0.0, out=hinge)
+    def _mismatched(self, sp):
+        """Mismatched bits of signed projections along the last axis."""
+        return sp.shape[-1] - np.add.reduce(sp <= self.threshold, axis=-1, dtype=np.intp)
 
-    def _terms(self, proj, out=None):
-        """(mismatched bits, hinge violation) along the last axis; ``out``
-        as for ``_hinge``."""
-        bits = proj >= 0
-        mism = np.add.reduce(np.not_equal(bits, self.want_one, out=bits), axis=-1, dtype=np.intp)
-        return mism, np.add.reduce(self._hinge(proj, out=out), axis=-1)
+    def _terms(self, sp, out=None):
+        """(mismatched bits, hinge violation) along the last axis.  ``out``
+        may be ``sp`` itself when the caller no longer needs it."""
+        mism = self._mismatched(sp)
+        hinge = np.add(sp, self.offset, out=out)
+        return mism, np.add.reduce(np.maximum(hinge, 0.0, out=hinge), axis=-1)
 
     def score_batch(self, u_batch, v_batch):
         """Mismatched bits of each row of gradient fields."""
         s = u_batch * u_batch
         s += v_batch * v_batch
-        proj = np.sqrt(s, out=s) @ self.big_m
-        return np.add.reduce(np.not_equal(proj >= 0, self.want_one), axis=-1, dtype=np.intp)
+        return self._mismatched(np.sqrt(s, out=s) @ self.signed_m)
 
     def local_state(self, u, v):
         s = np.sqrt(u * u + v * v)
-        proj = s @ self.big_m
-        mism, viol = self._terms(proj)
-        return int(mism), float(viol), (s, proj)
-
-    def _change(self, state, feats, du, dv, matrix):
-        """``(s_new[F] - s[F]) @ matrix[F]`` for each candidate, shape
-        (tuples, steps, bits)."""
-        ds = np.sqrt(self._local_sq(state, feats, du, dv), dtype=np.float64)
-        ds -= state.local[0][feats][:, None, :]
-        return ds @ matrix[feats]
+        sp = s @ self.signed_m
+        mism, viol = self._terms(sp)
+        return int(mism), float(viol), (s, sp)
 
     def _moved(self, state, feats, du, dv):
-        """Each candidate's projections, ``proj + (s_new[F] - s[F]) @ M[F]``,
-        shape (tuples, steps, bits)."""
-        moved = self._change(state, feats, du, dv, self.big_m)
+        """Each candidate's signed projections, ``sp + (s_new[F] - s[F]) @
+        signed_m[F]``, shape (tuples, steps, bits)."""
+        ds = np.sqrt(self._local_sq(state, feats, du, dv), dtype=np.float64)
+        ds -= state.local[0][feats][:, None, :]
+        moved = ds @ self.signed_m[feats]
         moved += state.local[1]
         return moved
 
@@ -896,17 +898,11 @@ class _SignScorer(_Scorer):
         of ``local_scores``, whose clipped terms are not negative and sum
         to 0 only when every one is 0.
 
-        The test is one signed comparison, ``sign * moved <= -offset`` on
-        every bit, with ``sign * moved`` formed as the change through
-        ``signed_m`` (M with its columns negated where sign is -1) plus
-        ``sign * proj``.  That is the hinge test bit for bit: negating a
-        column negates every product and partial sum of its gemm output
-        exactly, as it does the sum with ``proj``; and ``fl(x + offset) >
-        0`` holds exactly when ``x > -offset``, because rounding is
-        monotone and a sum of two doubles is 0 only when it is exactly 0.
-        NaN fails both forms."""
-        moved = self._change(state, feats, du, dv, self.signed_m)
-        moved += state.local[1] * self.sign
+        The test is one comparison, ``sp <= -offset`` on every bit: ``fl(sp
+        + offset) > 0`` holds exactly when ``sp > -offset``, because
+        rounding is monotone and a sum of two doubles is 0 only when it is
+        exactly 0.  NaN fails both forms."""
+        moved = self._moved(state, feats, du, dv)
         return np.logical_and.reduce(moved <= self.neg_offset, axis=-1)
 
     exact_certified = _exact_certified
@@ -1063,7 +1059,9 @@ def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
 class _RepairState:
     """Integer candidate: its exact gradients u and v, and the scorer's
     summary of them, recomputed from scratch after every move so that
-    rounding error never builds up.
+    rounding error never builds up.  ``local`` is the summary's per-bit
+    or per-feature part: a sign scorer's magnitudes s and signed
+    projections sp = s @ signed_m, a feature scorer's residuals.
 
     ``u16`` and ``v16`` are int16 copies of u and v, refreshed with the
     summary, from which the scorers form the squares of a move exactly

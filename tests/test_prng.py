@@ -136,6 +136,29 @@ class TestHashing:
         with pytest.raises(SeedError):
             derive_seed(b"")
 
+    @pytest.mark.parametrize("password", [5, None, 1.5, True, ["pw"], np.frombuffer(b"pw", np.uint8)])
+    def test_non_string_passwords_name_their_type(self, password):
+        """Only str, bytes and bytearray are passwords; anything else is
+        refused by name, in every entry point that derives a matrix.  (A
+        builder given None has no password and asks for a matrix.)"""
+        image = biopreimage.GrayImage(2, 2, np.arange(4).reshape(2, 2))
+        anchor = biopreimage.GrayImage(2, 2, np.zeros((2, 2), dtype=np.int64))
+        template = biopreimage.Template([0, 1])
+        calls = [
+            lambda: derive_seed(password),
+            lambda: derive_matrix(password, 4, 2),
+            lambda: biopreimage.enroll(image, password, 2),
+        ]
+        if password is not None:
+            calls.append(lambda: biopreimage.build_merged(anchor, template, password=password))
+        message = f"password must be str, bytes or bytearray, got {type(password).__name__}"
+        for call in calls:
+            with pytest.raises(SeedError, match=message):
+                call()
+
+    def test_bytearray_password_is_its_bytes(self):
+        assert derive_seed(bytearray(b"hunter2")) == derive_seed(b"hunter2")
+
     def test_distinct_passwords_distinct_seeds(self):
         seeds = {derive_seed(f"pw-{i}") for i in range(500)}
         assert len(seeds) == 500
@@ -216,6 +239,29 @@ class TestDeriveMatrix:
         for ortho in (False, True):
             with pytest.raises(SeedError, match="must be an integer"):
                 prng.column_blocks("pw", n, m, ortho)
+
+    @pytest.mark.parametrize("ortho", ["no", "", 0, 1, None, 1.0, np.int64(1)])
+    def test_orthonormalize_must_be_a_bool(self, ortho, monkeypatch):
+        """A truthy string would orthonormalize, a falsy one would not;
+        both are refused, before the password is hashed, in the path that
+        derive_matrix, enroll and the builders share."""
+        monkeypatch.setattr(prng, "derive_seed", lambda password: pytest.fail("derived a seed"))
+        image = biopreimage.GrayImage(3, 2, np.arange(6).reshape(2, 3))
+        anchor = biopreimage.GrayImage(3, 2, np.zeros((2, 3), dtype=np.int64))
+        template = biopreimage.Template([0, 1])
+        calls = [
+            lambda: prng.column_blocks("pw", 6, 2, ortho),
+            lambda: derive_matrix("pw", 6, 2, orthonormalize=ortho),
+            lambda: biopreimage.enroll(image, "pw", 2, orthonormalize=ortho),
+            lambda: biopreimage.build_merged(anchor, template, password="pw", orthonormalize=ortho),
+        ]
+        for call in calls:
+            with pytest.raises(SeedError, match="orthonormalize must be a bool"):
+                call()
+
+    def test_numpy_bool_orthonormalize_accepted(self):
+        for flag in (False, True):
+            assert np.array_equal(derive_matrix("pw", 6, 2, np.bool_(flag)), derive_matrix("pw", 6, 2, flag))
 
     def test_numpy_integer_dims_accepted(self):
         assert np.array_equal(derive_matrix("pw", np.int64(5), np.int32(3)), derive_matrix("pw", 5, 3))

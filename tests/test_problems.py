@@ -103,6 +103,22 @@ class TestProblemValidation:
         with pytest.raises(ProblemError):
             AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, delta, constraint_sets=(cs,))
 
+    @pytest.mark.parametrize("delta", [True, np.True_, "x", None, [1.0], 1 + 0j])
+    def test_rejects_delta_that_is_not_a_real_number(self, delta):
+        t = Template.from_bitstring("1")
+        cs = SignConstraintSet(np.ones((1, 1)), t)
+        with pytest.raises(ProblemError, match="delta must be a real number"):
+            AttackProblem(ProblemKind.FEATURE_PHASE, 1, 1, delta, constraint_sets=(cs,))
+        if delta is not None:  # a builder's None asks for the default margin
+            anchor = GrayImage(1, 1, np.zeros((1, 1), dtype=np.int64))
+            with pytest.raises(ProblemError, match="delta must be a real number"):
+                build_merged(anchor, t, np.ones((1, 1)), delta=delta)
+
+    @pytest.mark.parametrize("delta", [2, np.float32(0.5), np.int64(3), np.float64(1e-6)])
+    def test_accepts_real_delta(self, delta):
+        anchor = GrayImage(1, 1, np.zeros((1, 1), dtype=np.int64))
+        assert build_merged(anchor, Template.from_bitstring("1"), np.ones((1, 1)), delta=delta).delta == delta
+
     def test_rejects_row_count_mismatch(self):
         t = Template.from_bitstring("1")
         cs = SignConstraintSet(np.ones((3, 1)), t)

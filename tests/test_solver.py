@@ -1262,17 +1262,29 @@ def _float_local_sq(state, feats, du, dv):
     return uu * uu + vv * vv
 
 
+def _unsigned(problem):
+    """M, the victims' matrices side by side, and the hinge signs: +1 for
+    a 0 bit and -1 for a 1 bit.  These are what the sign scorer held
+    before it kept only their product, ``signed_m``."""
+    big_m = np.hstack([cs.matrix for cs in problem.constraint_sets])
+    want_zero = np.concatenate([cs.template.bits == 0 for cs in problem.constraint_sets])
+    return big_m, np.where(want_zero, 1.0, -1.0)
+
+
 def _hinge_clean_reference(scorer, state, feats, du, dv):
     """The clean-state test as it was written before the signed
     comparison: float64 magnitudes, each candidate's projections
     ``proj + (s_new[F] - s[F]) @ M[F]``, the hinge terms max(0, sign *
-    proj + offset), and a BLAS row sum against ones that must be 0."""
-    s, proj = state.local
+    proj + offset), and a BLAS row sum against ones that must be 0.  M
+    and sign come from ``scorer.problem``, and proj = sign * sp from the
+    state's signed projections."""
+    big_m, sign = _unsigned(scorer.problem)
+    s, sp = state.local
     ds = np.sqrt(_float_local_sq(state, feats, du, dv))
     ds -= s[feats][:, None, :]
-    moved = ds @ scorer.big_m[feats]
-    moved += proj
-    hinge = np.multiply(moved, scorer.sign, out=moved)
+    moved = ds @ big_m[feats]
+    moved += sp * sign
+    hinge = np.multiply(moved, sign, out=moved)
     hinge += scorer.offset
     np.maximum(hinge, 0.0, out=hinge)
     ones = np.ones(hinge.shape[-1])
@@ -1322,10 +1334,10 @@ class TestExactScoring:
         """``clean_feasible`` against the hinge-sum test it replaced, with
         bits that sit exactly on their bounds.  Columns 0-2 of M are zero,
         so a candidate's projection on them is the state's, which
-        ``state.local`` sets to -delta for the 0 bit and to 0.0 and -0.0
-        for the two 1 bits: each bound holds with equality on every
-        candidate.  The other bits sit at random distances inside their
-        bounds, so some candidates stay clean and some do not."""
+        ``state.local`` sets, in signed form, to -delta for the 0 bit and
+        to 0.0 and -0.0 for the two 1 bits: each bound holds with equality
+        on every candidate.  The other bits sit at random distances inside
+        their bounds, so some candidates stay clean and some do not."""
         rng = np.random.default_rng(197)
         bits = 12
         matrix = rng.uniform(-0.5, 0.5, size=(h * w, bits))
@@ -1338,9 +1350,9 @@ class TestExactScoring:
         seen = set()
         for _ in range(4):
             state = _RepairState(scorer, rng.integers(0, 256, size=h * w))
-            proj = -scorer.sign * (scorer.offset + rng.uniform(0.0, 40.0, size=bits))
-            proj[:3] = (-problem.delta, 0.0, -0.0)
-            state.local = (state.local[0], proj)
+            sp = -(scorer.offset + rng.uniform(0.0, 40.0, size=bits))
+            sp[:3] = (-problem.delta, 0.0, -0.0)
+            state.local = (state.local[0], sp)
             for group in scorer.move_groups:
                 for sl in _slices(group):
                     local = (state, group.feats[sl], group.du[sl], group.dv[sl])
@@ -1355,6 +1367,126 @@ class TestExactScoring:
         for pixels in ([0] * 9 + [256], [-1] + [0] * 9):
             with pytest.raises(SolverError, match="0..255"):
                 _RepairState(scorer, np.array(pixels))
+
+
+def _unsigned_local_scores(scorer, state, feats, du, dv):
+    """``local_scores`` as the scorer computed it on unsigned projections:
+    proj + (s_new[F] - s[F]) @ M[F], a bit mismatched when ``(proj >= 0)
+    != want_one``, and the hinge terms max(0, sign * proj + offset)."""
+    big_m, sign = _unsigned(scorer.problem)
+    s, sp = state.local
+    ds = np.sqrt(_float_local_sq(state, feats, du, dv))
+    ds -= s[feats][:, None, :]
+    moved = ds @ big_m[feats]
+    moved += sp * sign
+    mism = ((moved >= 0) != (sign < 0)).sum(axis=-1)
+    hinge = np.maximum(moved * sign + scorer.offset, 0.0)
+    return mism, np.add.reduce(hinge, axis=-1)
+
+
+class TestSignedProjections:
+    def test_threshold_matches_the_unsigned_rule(self):
+        """A bit's ``sp <= threshold`` test against ``(proj >= 0) !=
+        want_one``, one bit off a matching projection at a time: on +-0.0,
+        +-2**-1074, +-delta and random values, with sp = sign * proj and
+        with the sign of each zero of sp flipped, as a matrix product may
+        give it.  A NaN projection is mismatched on every bit, where the
+        unsigned rule read it as a 0 bit."""
+        rng = np.random.default_rng(211)
+        problem = _random_problem(rng, 2, 5, 20)
+        scorer = _SignScorer(problem)
+        big_m, sign = _unsigned(problem)
+        assert np.array_equal((big_m * sign).view(np.int64), scorer.signed_m.view(np.int64))
+        want_one = sign < 0
+        tiny = 2.0**-1074
+        values = np.concatenate(
+            [
+                [0.0, -0.0, tiny, -tiny, problem.delta, -problem.delta, np.inf, -np.inf],
+                rng.standard_normal(8) * np.logspace(-310, 3, 8),
+            ]
+        )
+        bits = sign.size
+        proj = np.tile(-sign, (values.size, bits, 1))
+        proj[:, np.arange(bits), np.arange(bits)] = values[:, None]
+        want = ((proj >= 0) != want_one).sum(axis=-1)
+        sp = proj * sign
+        flipped = np.where(sp == 0.0, -sp, sp)
+        assert not np.array_equal(np.signbit(flipped), np.signbit(sp))
+        for signed in (sp, flipped):
+            assert np.array_equal(scorer._mismatched(signed), want)
+            assert np.array_equal(scorer._terms(signed.copy())[0], want)
+        assert set(np.unique(want)) == {0, 1}
+        proj[:, np.arange(bits), np.arange(bits)] = np.nan
+        assert np.array_equal(scorer._mismatched(proj * sign), np.ones((values.size, bits)))
+        assert scorer._mismatched(np.full(bits, np.nan)) == bits
+
+    @pytest.mark.parametrize("h,w,bits", [(2, 5, 20), (4, 6, 20), (16, 16, 64)])
+    def test_local_scores_match_the_unsigned_projections(self, h, w, bits):
+        """Every candidate's (mismatches, violation) of every group, bit for
+        bit against the same sums on unsigned projections, and the state's
+        summary against ``s @ M``."""
+        rng = np.random.default_rng(223)
+        problem = _random_problem(rng, h, w, bits)
+        scorer = _SignScorer(problem)
+        big_m, sign = _unsigned(problem)
+        for _ in range(2):
+            state = _RepairState(scorer, rng.integers(0, 256, size=h * w))
+            s, sp = state.local
+            proj = s @ big_m
+            assert np.array_equal(sp, sign * proj)
+            mism = ((proj >= 0) != (sign < 0)).sum()
+            hinge = np.maximum(proj * sign + scorer.offset, 0.0)
+            assert state.score[:2] == (mism, float(np.add.reduce(hinge)))
+            for group in scorer.move_groups:
+                for sl in _slices(group):
+                    local = (state, group.feats[sl], group.du[sl], group.dv[sl])
+                    got_mism, got_viol = scorer.local_scores(*local)
+                    want_mism, want_viol = _unsigned_local_scores(scorer, *local)
+                    assert np.array_equal(got_mism, want_mism)
+                    assert np.array_equal(got_viol.view(np.int64), want_viol.view(np.int64))
+
+    def test_both_programs_stack_the_same_signed_rows(self):
+        """The feature QP and the merged model take their constraint rows
+        from one helper: per set, M's 0-bit columns, then its negated 1-bit
+        columns, written out here for two victims and for one."""
+        rng = np.random.default_rng(229)
+        victims = [GrayImage(4, 4, rng.integers(0, 256, size=(4, 4))) for _ in range(2)]
+        anchor = GrayImage(4, 4, rng.integers(0, 256, size=(4, 4)))
+        pairs = [(enroll(v, pw, 8), pw.encode()) for v, pw in zip(victims, ("pw-a", "pw-b"))]
+        collision = build_multi_collision(anchor, pairs)
+        want = np.vstack(
+            [
+                part
+                for cs in collision.constraint_sets
+                for part in (cs.matrix[:, cs.zero_idx].T, -cs.matrix[:, cs.one_idx].T)
+            ]
+        )
+        model = MergedModel(collision, margin=4.0)
+        assert model.rows.tobytes() == want.tobytes()
+        assert np.array_equal(model.offsets, np.full(16, 4.0 / 255.0))
+        cs = collision.constraint_sets[0]
+        feature = build_feature_phase(sobel(anchor), cs.template, cs.matrix)
+        g, c = solver_module._qp_constraints(feature)
+        assert g.tobytes() == want[:8].tobytes()
+        assert np.array_equal(c, np.where(np.arange(8) < cs.zero_idx.size, -feature.delta, 0.0))
+
+    def test_face_size_scorer_holds_one_copy_of_the_matrix(self):
+        """At 112x92/256 building the scorer allocates one M-sized array,
+        the signed copy, and little else; the problem's read-only matrix
+        is left as it was."""
+        rng = np.random.default_rng(227)
+        h, w, bits = 112, 92, 256
+        anchor = GrayImage(w, h, rng.integers(0, 256, size=(h, w)))
+        matrix = rng.uniform(-0.5, 0.5, size=(h * w, bits))
+        problem = build_merged(anchor, Template(rng.integers(0, 2, size=bits)), matrix=matrix)
+        held = []
+        peak = _traced_peak(lambda: held.append(_SignScorer(problem)))
+        (scorer,) = held
+        m = problem.constraint_sets[0].matrix
+        assert peak <= 1.1 * m.nbytes
+        assert scorer.signed_m.nbytes == m.nbytes
+        assert not any(hasattr(scorer, name) for name in ("big_m", "want_one", "sign"))
+        assert np.array_equal(m, matrix)
 
 
 _MIB = 1 << 20
