@@ -35,6 +35,11 @@ class PipelineError(ValueError):
     """Invalid input to a pipeline operation (bad dims, bad values)."""
 
 
+def _check_text(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise PipelineError(f"{name} must be a str, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class GrayImage:
     """Rectangular grid of integer pixel intensities in [0, 255].
@@ -191,6 +196,7 @@ class Template:
 
     @classmethod
     def from_bitstring(cls, s: str) -> "Template":
+        _check_text("bit string", s)
         s = s.strip()
         if not s or any(c not in "01" for c in s):
             raise PipelineError(f"not a bit string: {s!r}")
@@ -208,7 +214,12 @@ class Template:
 
     @classmethod
     def from_hex(cls, s: str, bit_length: int) -> "Template":
+        _check_text("hex string", s)
+        _check_count("bit_length", bit_length, PipelineError)
         s = s.strip().lower()
+        # int(c, 16) would also take non-ASCII digits such as "\u0663".
+        if any(c not in "0123456789abcdef" for c in s):
+            raise PipelineError(f"not a hex string: {s!r}")
         if bit_length < 0 or len(s) * 4 < bit_length:
             raise PipelineError(f"hex string {s!r} too short for {bit_length} bits")
         bits = []

@@ -74,6 +74,8 @@ class SeedError(ValueError):
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash (xor byte, multiply by the FNV prime)."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise SeedError(f"fnv1a64 hashes bytes or bytearray, got {type(data).__name__}")
     h = FNV_OFFSET_BASIS
     for b in data:
         h ^= b
@@ -132,7 +134,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        _check_count("seed", seed)
+        self.state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

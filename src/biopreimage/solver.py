@@ -42,9 +42,10 @@ Every stage applies the two Sobel convolutions through
 memory stays O(n) and no dense n x n operator is built; the window
 polish and the repair's move tables take their operator entries from
 the stencil too.
-The repair's gradients of integer pixels are exact in any order, but the
-continuous stage still sums each slot product as a BLAS call, so its
-iterates are not yet independent of the BLAS build.
+The repair and the window polish hold the gradients of integer pixels
+as integers, exact in any order, but the continuous stage still sums
+each slot product as a BLAS call, so its iterates are not yet
+independent of the BLAS build.
 
 A candidate only counts as a success when re-running the full forward
 pipeline reproduces every target template bit-for-bit; that check is the
@@ -162,6 +163,15 @@ class SolverConfig:
                 raise SolverError(f"{name} must be at least {low}, got {value!r}")
 
 
+def _config(config: SolverConfig | None) -> SolverConfig:
+    """The defaults for None.  Anything else but a SolverConfig, such as
+    a dict read from JSON, is refused: ``{}`` would otherwise pass as the
+    defaults, and a dict with fields fail mid-solve."""
+    if not isinstance(config, (SolverConfig, type(None))):
+        raise SolverError(f"config must be a SolverConfig, got {type(config).__name__}")
+    return config or SolverConfig()
+
+
 @dataclass(frozen=True)
 class SolveReport:
     status: SolveStatus
@@ -249,8 +259,7 @@ def _stencil_tables(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         table = np.where(inside, r * width + c, n)
         table.flags.writeable = False
         tables.append(table)
-    forward, adjoint = tables
-    return forward, adjoint
+    return tuple(tables)
 
 
 class SobelStencil:
@@ -300,14 +309,11 @@ class SobelStencil:
 
     def entries(self, features: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Operator entries (A1[f, p], A2[f, p]) for broadcast index
-        arrays ``features`` and ``pixels``; shape (..., 2).
-
-        The one-hot of matching slots is multiplied in int8, one byte per
-        (index, slot): at most one slot of a pixel feeds a given feature
-        and every weight is at most 2 in magnitude, so the int8 sums are
-        the entries exactly."""
+        arrays ``features`` and ``pixels``, as int8; shape (..., 2).  At
+        most one slot of a pixel feeds a given feature, so each sum of the
+        one-hot slots against the weights is one weight."""
         hit = self.adjoint[pixels] == np.asarray(features)[..., None]
-        return (hit.view(np.int8) @ self._int8_weights).astype(np.float64)
+        return hit.view(np.int8) @ self._int8_weights
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +352,8 @@ def certify(candidate: GrayImage, problem: AttackProblem) -> dict[str, bool]:
     image-phase problem gets a single ``feature`` entry comparing
     squared gradient magnitudes against the target.
     """
+    if not isinstance(candidate, GrayImage):
+        raise SolverError(f"candidate must be a GrayImage, got {type(candidate).__name__}")
     if (candidate.height, candidate.width) != (problem.height, problem.width):
         raise SolverError("candidate dimensions do not match the problem")
     feat = sobel(candidate)
@@ -404,7 +412,7 @@ def solve_qp(problem: AttackProblem, config: SolverConfig | None = None) -> Solv
     """
     if problem.kind is not ProblemKind.FEATURE_PHASE:
         raise SolverError(f"solve_qp expects a feature-phase problem, got {problem.kind}")
-    config = config or SolverConfig()
+    config = _config(config)
     start = time.monotonic()
     deadline = start + config.time_limit
     a = np.asarray(problem.anchor_feature, dtype=np.float64)
@@ -800,16 +808,11 @@ class _Scorer:
 
     def _local_sq(self, state, feats, du, dv) -> np.ndarray:
         """u^2 + v^2 on each candidate's footprint, shape (tuples, steps,
-        footprint), as int32 from the state's int16 u and v and the int8
-        changes.  The values are exact: pixels in 0..255 give |u|, |v| <=
-        4 * 255 and a change is at most 16 in magnitude for the step sets
-        here (127 at the int8 limit), so |u + du| <= 1147 fits an int16,
-        each square is below 2^21 and the sum below 2^22, inside an int32.
-        These are the integers the float64 formula forms, so a square
-        root taken in float64 is the same double."""
-        sq = np.add(state.u16[feats][:, None, :], du, dtype=np.int32)
+        footprint), in int32 from the state's u and v and the int8
+        changes (see :class:`_RepairState` for why it is exact)."""
+        sq = np.add(state.u[feats][:, None, :], du, dtype=np.int32)
         sq *= sq
-        vv = np.add(state.v16[feats][:, None, :], dv, dtype=np.int32)
+        vv = np.add(state.v[feats][:, None, :], dv, dtype=np.int32)
         vv *= vv
         sq += vv
         return sq
@@ -867,9 +870,7 @@ class _SignScorer(_Scorer):
 
     def score_batch(self, u_batch, v_batch):
         """Mismatched bits of each row of gradient fields."""
-        s = u_batch * u_batch
-        s += v_batch * v_batch
-        return self._mismatched(np.sqrt(s, out=s) @ self.signed_m)
+        return self._mismatched(np.sqrt(u_batch * u_batch + v_batch * v_batch) @ self.signed_m)
 
     def local_state(self, u, v):
         s = np.sqrt(u * u + v * v)
@@ -919,10 +920,7 @@ class _FeatureScorer(_Scorer):
 
     def score_batch(self, u_batch, v_batch):
         """Mismatched features of each row of gradient fields."""
-        resid = u_batch * u_batch
-        resid += v_batch * v_batch
-        resid -= self.target_sq
-        np.abs(resid, out=resid)
+        resid = np.abs(u_batch * u_batch + v_batch * v_batch - self.target_sq)
         return np.add.reduce(resid > _IMAGE_CERT_TOL, axis=-1, dtype=np.intp)
 
     def local_state(self, u, v):
@@ -987,11 +985,9 @@ class _MoveGroup:
     the group.  All arrays are read-only: back-to-back solves of one image
     shape share the groups.
 
-    ``du`` and ``dv`` are int8: each entry is a sum of integer steps times
-    integer kernel entries, at most 16 in magnitude for the step sets
-    here, and construction checks that every one fits.  Added to the
-    float64 u and v they give the same exact integers as float64 tables
-    would, at one byte each: single moves take 16 steps x 8 footprint
+    ``du`` and ``dv`` are int8, the integer steps times the int8 kernel
+    entries, at most 16 in magnitude for the step sets here; construction
+    checks that every one fits.  Single moves take 16 steps x 8 footprint
     slots x 2 tables = 256 bytes per pixel, 2.5 MiB at 112x92.  The
     tables are built ``_MOVE_CHUNK // len(steps)`` tuples at a time."""
 
@@ -1011,7 +1007,6 @@ class _MoveGroup:
         footprint = np.where(valid, feats, -1)
         shape = (count, len(steps), width)
         self.du, self.dv = np.empty(shape, np.int8), np.empty(shape, np.int8)
-        stepf = steps.astype(np.float64)
         limit = np.iinfo(np.int8)
         per = max(1, _MOVE_CHUNK // len(steps))
         for lo in range(0, count, per):
@@ -1019,8 +1014,7 @@ class _MoveGroup:
             # (A1 or A2, tuple, pixel, footprint)
             entry = np.moveaxis(stencil.entries(footprint[sl, None], tuples[sl, :, None]), -1, 0)
             for table, part in zip((self.du, self.dv), entry):
-                # Integer steps times integer kernel entries: exact in any order.
-                change = stepf @ part
+                change = steps @ part
                 if change.size and not (limit.min <= change.min() and change.max() <= limit.max):
                     raise SolverError("a move changes a feature by more than an int8 holds")
                 table[sl] = change
@@ -1057,28 +1051,28 @@ def _move_groups(height: int, width: int) -> tuple[_MoveGroup, ...]:
 
 
 class _RepairState:
-    """Integer candidate: its exact gradients u and v, and the scorer's
-    summary of them, recomputed from scratch after every move so that
-    rounding error never builds up.  ``local`` is the summary's per-bit
-    or per-feature part: a sign scorer's magnitudes s and signed
-    projections sp = s @ signed_m, a feature scorer's residuals.
+    """Integer candidate: its gradients u and v, and the scorer's summary
+    of them, recomputed from scratch after every move so that rounding
+    error never builds up.  ``local`` is the summary's per-bit or
+    per-feature part: a sign scorer's magnitudes s and signed projections
+    sp = s @ signed_m, a feature scorer's residuals.
 
-    ``u16`` and ``v16`` are int16 copies of u and v, refreshed with the
-    summary, from which the scorers form the squares of a move exactly
-    (``_Scorer._local_sq``).  The pixels must lie in 0..255, which every
-    accepted move keeps: then |u|, |v| <= 4 * 255 and the copies are
-    exact."""
+    u and v are int32, and a move adds its int8 changes to them.  The
+    pixels must lie in 0..255, which every accepted move keeps: then |u|,
+    |v| <= 4 * 255, and with a change of at most 127 each square that
+    ``_Scorer._local_sq`` forms is below 2^21 and a sum of two below 2^22.
+    So every integer is exact, and float64 enters only at a square root
+    and at the subtraction of t^2."""
 
     def __init__(self, scorer, pixels: np.ndarray):
         self.scorer = scorer
-        self.x = pixels.astype(np.int64).copy()
+        self.x = pixels.astype(np.int64)
         if self.x.min() < 0 or self.x.max() > 255:
             raise SolverError("repair pixels must lie in 0..255")
-        self.u, self.v = scorer.stencil.apply(self.x).T.copy()
+        self.u, self.v = scorer.stencil.apply(self.x).T.astype(np.int32)
         self._refresh()
 
     def _refresh(self):
-        self.u16, self.v16 = self.u.astype(np.int16), self.v.astype(np.int16)
         mism, viol, self.local = self.scorer.local_state(self.u, self.v)
         self.obj = float(np.sum((self.x - self.scorer.anchor) ** 2))
         self.score = (mism, viol, self.obj)
@@ -1235,8 +1229,9 @@ def _window_radius(n: int) -> int:
 def _half_table(scorer, pixels: np.ndarray, cols: np.ndarray, w: int):
     """Every in-range offset row of the pixels ``cols`` within +-w, in
     mixed-radix order (first pixel most significant): the rows' pixel
-    values, their share of the objective and their shares of u = A1 x and
-    v = A2 x, from the operator columns ``cols`` that the stencil gives."""
+    values, their share of the objective and their integer shares of u =
+    A1 x and v = A2 x, from the operator columns ``cols`` that the
+    stencil gives."""
     axes = [np.arange(max(0, x - w), min(255, x + w) + 1) for x in pixels[cols]]
     vals = np.empty((math.prod(a.size for a in axes), cols.size), dtype=np.int64)
     for j, grid in enumerate(np.meshgrid(*axes, indexing="ij")):
@@ -1259,7 +1254,7 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
     of the box index) and a trailing half Q, each tabulated once over its
     in-range offset rows.  A candidate's objective and (u, v) are a P
     row's plus a Q row's; pixels and weights are integers, so these sums
-    are exact and equal the dense products bit for bit.  P rows are
+    are exact, and (u, v) are int32, as in the repair.  P rows are
     walked in order, each paired with the Q rows that keep the objective
     below the best so far: a prefix of Q sorted by objective.  Candidates
     are scored in batches of at most ``_WINDOW_BATCH`` (or one P row's,
@@ -1295,7 +1290,7 @@ def _window_polish(scorer, pixels: np.ndarray, obj_limit: float, deadline: float
         # Each P row's candidates are a prefix of the sorted Q rows, so
         # they are contiguous slices plus one P row.
         obj = np.empty(ends[-1])
-        u, v = np.empty((obj.size, n)), np.empty((obj.size, n))
+        u, v = np.empty((obj.size, n), np.int32), np.empty((obj.size, n), np.int32)
         for i, lo, hi in zip(range(first, start), lows, ends):
             np.add(q_obj[: hi - lo], p_obj[i], out=obj[lo:hi])
             np.add(q_u[: hi - lo], p_u[i], out=u[lo:hi])
@@ -1329,7 +1324,7 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
     of every target."""
     if problem.kind is ProblemKind.FEATURE_PHASE:
         raise SolverError("feature-phase problems go to solve_qp")
-    config = config or SolverConfig()
+    config = _config(config)
     start = time.monotonic()
     deadline = start + config.time_limit
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
@@ -1353,7 +1348,7 @@ def solve_qcqp(problem: AttackProblem, config: SolverConfig | None = None) -> So
 
     # The float count screens the anchor, so an uncertified one costs no
     # exact forward check.
-    u, v = scorer.stencil.apply(anchor_pixels).T
+    u, v = scorer.stencil.apply(anchor_pixels).T.astype(np.int32)
     if scorer.score_batch(u[None, :], v[None, :])[0] == 0 and scorer.exact_certified(anchor_pixels):
         best_cert, best_cert_obj = anchor_pixels.copy(), 0.0
     # Certification does not stop the scan: later restarts regularly

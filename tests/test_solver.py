@@ -579,7 +579,9 @@ class TestSobelStencil:
         assert np.array_equal(from_forward[:n, :n], dense)
         assert np.array_equal(from_adjoint[:n, :n], dense)
         feats, pixels = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        assert np.array_equal(op.entries(feats, pixels), dense)
+        entries = op.entries(feats, pixels)
+        assert entries.dtype == np.int8
+        assert np.array_equal(entries, dense)
 
     @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
     def test_adjoint_identity(self, shape):
@@ -894,6 +896,7 @@ class TestFootprintScoring:
             want[group.tuples[t]] += group.steps[k]
             state.apply(group, t, k)
             assert np.array_equal(state.x, want)
+            assert state.u.dtype == state.v.dtype == np.int32
             xf = state.x.astype(np.float64)
             assert np.array_equal(state.u, a1 @ xf)
             assert np.array_equal(state.v, a2 @ xf)
@@ -1255,10 +1258,10 @@ class TestMoveSlices:
 
 
 def _float_local_sq(state, feats, du, dv):
-    """u^2 + v^2 on each candidate's footprint from the state's float64 u
-    and v: the formula the int16/int32 path replaces."""
-    uu = state.u[feats][:, None, :] + du
-    vv = state.v[feats][:, None, :] + dv
+    """u^2 + v^2 on each candidate's footprint from the state's u and v
+    cast to float64: the formula the int32 path replaces."""
+    uu = state.u[feats].astype(np.float64)[:, None, :] + du
+    vv = state.v[feats].astype(np.float64)[:, None, :] + dv
     return uu * uu + vv * vv
 
 
@@ -1297,7 +1300,7 @@ class TestExactScoring:
         "h,w,bits,groups", [(2, 5, 20, 3), (4, 6, 20, 3), (16, 16, 64, 1)], ids=["2x5", "4x6", "16x16"]
     )
     def test_integer_squares_match_the_float_formula(self, h, w, bits, groups, kind):
-        """``_local_sq`` in int32 from int16 u and v holds the integers the
+        """``_local_sq`` in int32 from int32 u and v holds the integers the
         float64 formula forms, and their float64 square roots have the same
         bits, on every candidate of every group, steps off the pixel range
         included.  The states are a 0/255 checkerboard, 0/255 edges, which
@@ -1316,7 +1319,7 @@ class TestExactScoring:
         reach = 0
         for pixels in starts:
             state = _RepairState(scorer, pixels.reshape(-1))
-            assert np.array_equal(state.u16, state.u) and np.array_equal(state.v16, state.v)
+            assert state.u.dtype == state.v.dtype == np.int32
             reach = max(reach, np.abs(state.u).max(), np.abs(state.v).max())
             for group in scorer.move_groups:
                 for sl in _slices(group):
@@ -1362,7 +1365,7 @@ class TestExactScoring:
         assert seen == {True, False}
 
     def test_repair_state_refuses_pixels_off_the_range(self):
-        """The int16 copies of u and v are exact only for pixels in 0..255."""
+        """The int32 u and v are bounded only for pixels in 0..255."""
         scorer = _SignScorer(_random_problem(np.random.default_rng(199), 2, 5, 20))
         for pixels in ([0] * 9 + [256], [-1] + [0] * 9):
             with pytest.raises(SolverError, match="0..255"):
@@ -1654,6 +1657,21 @@ class TestWindowPolish:
                 improved += 1
         if kind == "merged":
             assert improved > 0
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 3)])
+    def test_half_tables_are_the_dense_products(self, shape):
+        """Each half's integer shares of u and v are its rows' pixel values
+        times that half's columns of the dense operators, on a box cut off
+        at 0 and 255."""
+        h, w = shape
+        scorer, pixels, _ = _polish_case(h, w, "merged", True, 131)
+        a1, a2 = conv_operators(h, w)
+        cols = np.arange(pixels.size)
+        for half in (cols[: pixels.size // 2], cols[pixels.size // 2 :]):
+            vals, _, u, v = solver_module._half_table(scorer, pixels, half, _window_radius(pixels.size))
+            assert u.dtype.kind == v.dtype.kind == "i"
+            assert np.array_equal(u, vals @ a1[:, half].T)
+            assert np.array_equal(v, vals @ a2[:, half].T)
 
     @pytest.mark.parametrize("batch", [None, 1], ids=["default-batch", "one-row-batches"])
     @pytest.mark.parametrize(

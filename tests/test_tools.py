@@ -52,12 +52,15 @@ def test_digest_line_of_image_feature_and_no_solution():
 
 
 def _restore_wrapped(monkeypatch):
-    """Register the entry points a Recorder wraps, so that undoing them
-    after the test restores the unwrapped ones."""
+    """Register the entry points, stages and methods a Recorder wraps, so
+    that undoing them after the test restores the unwrapped ones."""
     for name in ("solve_qp", "solve_qcqp"):
         monkeypatch.setattr(solver_module, name, getattr(solver_module, name))
         monkeypatch.setattr(biopreimage, name, getattr(biopreimage, name))
-    monkeypatch.setattr(solver_module, "_continuous_stage", solver_module._continuous_stage)
+    for name in solve_digests.COUNTED:
+        owner, _, attr = name.rpartition(".")
+        target = getattr(solver_module, owner) if owner else solver_module
+        monkeypatch.setattr(target, attr, getattr(target, attr))
 
 
 def test_continuous_line_format():
@@ -119,6 +122,31 @@ def test_recorder_records_each_continuous_stage(monkeypatch):
         solve_digests.continuous_line(f"desk op=1 #{k}", z, vio) for k, (z, vio) in enumerate(returned, 1)
     ]
     assert recorder.lines == [solve_digests.digest_line("desk op=1 #1", report)]
+
+
+def test_calls_lines_count_stages_and_scorer_tests(monkeypatch):
+    """After solves, the calls lines name the counted stages and scorer
+    tests that ran, in ``COUNTED`` order, one count each; the stage
+    count agrees with the continuous lines.  No count is pinned."""
+    _restore_wrapped(monkeypatch)
+    recorder = solve_digests.Recorder(biopreimage, solver_module)
+    assert recorder.calls_lines() == []
+    monkeypatch.delenv("PYTEST_CURRENT_TEST")
+    recorder.label = "desk op=2"
+    rng = np.random.default_rng(7)
+    victim, anchor = (GrayImage(3, 2, rng.integers(0, 256, (2, 3))) for _ in range(2))
+    problem = build_merged(anchor, enroll(victim, "pw", 6), password=b"pw")
+    biopreimage.solve_qcqp(problem, SolverConfig(restarts=2, time_limit=30.0))
+    counts = {}
+    for line in recorder.calls_lines():
+        word, name, count = line.split(" ")
+        assert word == "calls" and count == str(int(count)) and int(count) > 0
+        counts[name] = int(count)
+    assert list(counts) == [name for name in solve_digests.COUNTED if name in counts]
+    assert counts["_continuous_stage"] == len(recorder.continuous) == 2
+    assert counts["_spg_minimize"] >= 2 and counts["_repair"] >= 2
+    # a sign problem never reaches the feature scorer
+    assert not any(name.startswith("_FeatureScorer.") for name in counts)
 
 
 @pytest.mark.parametrize("given,selection", [(None, solve_digests.DEFAULT_PYTEST), ("", None)])

@@ -14,16 +14,20 @@ continuous stage (``solver._continuous_stage``, one per restart of a
 QCQP solve) prints a ``continuous`` line: the sha256 of the iterate it
 returns and the repr of its smallest constraint violation, which show a
 change to the continuous iterates that the integer rounding after them
-hides.  Last, every call of ``solver.solve_qp`` and
+hides.  Then every call of ``solver.solve_qp`` and
 ``solver.solve_qcqp`` prints its status, objective, the sha256 of its
 solution and its certification map.  Continuous and solve lines are
-labelled with the operation or test that made them.  The solves are those
-of the checked cycles of attack-desk, attack-repair and attack-scale for
-each seed (inputs from ``perfbench/workloads.py``, which this tool only
-imports), then those of a pytest selection, run in this process.  The
-selection defaults to acceptance criteria 2-6 and the pinned solver
-tests (``DEFAULT_PYTEST``); ``--pytest ""`` runs no tests.  The pytest
-output goes to stderr.
+labelled with the operation or test that made them.  After them come
+the ``calls`` lines: how often the whole run called each stage and
+scorer test of ``COUNTED``, one ``calls <name> <count>`` line per name
+that ran, so a diff compares the work done as well as the answers.
+The solves are those of the checked cycles of attack-desk,
+attack-repair and attack-scale for each seed (inputs from
+``perfbench/workloads.py``, which this tool only imports), then those
+of a pytest selection, run in this process.  The selection defaults
+to acceptance criteria 2-6 and the pinned solver tests
+(``DEFAULT_PYTEST``); ``--pytest ""`` runs no tests.  The pytest output
+goes to stderr.
 
 ``--root`` names the checkout whose ``src/``, ``perfbench/`` and tests
 run (default: the one holding this file), so the same tool compares a
@@ -58,6 +62,19 @@ DEFAULT_PYTEST = (
     "'criterion_2 or criterion_3 or criterion_4 or criterion_5 or criterion_6 or pinned'"
 )
 
+
+#: Stages of the solver module, then methods of its scorers, whose calls
+#: the ``calls`` lines count.
+COUNTED = (
+    "_continuous_stage",
+    "_spg_minimize",
+    "_repair",
+    "_window_polish",
+    "_SignScorer.clean_feasible",
+    "_SignScorer.local_scores",
+    "_FeatureScorer.clean_feasible",
+    "_FeatureScorer.local_scores",
+)
 
 #: Passwords of the enroll lines.
 ENROLL_PASSWORDS = ("digest-a", "digest-b")
@@ -124,7 +141,9 @@ class Recorder:
     package's re-exports of them) and keeps one digest line per call in
     ``lines``; wraps the module's continuous stage, which the QCQP solve
     calls by its module name, and keeps one line per call in
-    ``continuous``."""
+    ``continuous``; and counts the calls of each name of ``COUNTED`` in
+    ``work``, the stages where the module looks them up and the methods
+    on their classes."""
 
     def __init__(self, package, solver):
         self.lines: list[str] = []
@@ -132,11 +151,29 @@ class Recorder:
         self.label = ""
         self.calls: Counter[str] = Counter()
         self.stages: Counter[str] = Counter()
+        self.work: Counter[str] = Counter()
         for name in ("solve_qp", "solve_qcqp"):
             wrapped = self._wrap(getattr(solver, name))
             setattr(solver, name, wrapped)
             setattr(package, name, wrapped)
         solver._continuous_stage = self._wrap_stage(solver._continuous_stage)
+        for name in COUNTED:
+            owner, _, attr = name.rpartition(".")
+            target = getattr(solver, owner) if owner else solver
+            setattr(target, attr, self._count(name, getattr(target, attr)))
+
+    def calls_lines(self) -> list[str]:
+        """One ``calls <name> <count>`` line per name of ``COUNTED`` that
+        was called, in that order."""
+        return [f"calls {name} {self.work[name]}" for name in COUNTED if self.work[name]]
+
+    def _count(self, name, fn):
+        # A plain function, so that on a class it binds as a method.
+        def counted(*args, **kwargs):
+            self.work[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
 
     def _current(self) -> str:
         # Tests name themselves in PYTEST_CURRENT_TEST ("path::test (call)").
@@ -196,7 +233,7 @@ def main(argv=None) -> int:
         os.chdir(root)
         with contextlib.redirect_stdout(sys.stderr):
             status = int(pytest.main(shlex.split(args.pytest) + ["-q", "-p", "no:cacheprovider"]))
-    print("\n".join(lines + recorder.continuous + recorder.lines))
+    print("\n".join(lines + recorder.continuous + recorder.lines + recorder.calls_lines()))
     if status:
         print(f"pytest exited with status {status}", file=sys.stderr)
     return status
